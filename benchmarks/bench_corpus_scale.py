@@ -4,7 +4,7 @@ Three claims, measured:
 
 1. **Corpus wall speedup.**  On a latency-bound corpus (``--corpus-jobs
    8`` worker processes overlapping real per-probe tool latency), the
-   scheduler beats the ``jobs=1`` serial runner by >= 3x wall clock
+   scheduler beats its ``jobs=1`` inline run by >= 3x wall clock
    while producing byte-identical per-instance results (everything but
    ``real_seconds`` and the placement-dependent store residency
    counters — see ``outcome_signature``).  Chaos and warm-store lanes
@@ -42,7 +42,6 @@ sys.path.insert(
 from repro.harness.experiments import (  # noqa: E402
     ExperimentConfig,
     outcome_signature,
-    run_corpus_experiment,
 )
 from repro.harness.report import (  # noqa: E402
     ResultsWriter,
@@ -51,7 +50,7 @@ from repro.harness.report import (  # noqa: E402
 )
 from repro.parallel.scheduler import (  # noqa: E402
     StoreSpec,
-    run_scheduled_corpus_experiment,
+    run_corpus_experiment,
 )
 from repro.resilience import FaultPlan  # noqa: E402
 from repro.workloads.corpus import (  # noqa: E402
@@ -108,7 +107,7 @@ def measure_speedup() -> dict:
     serial_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = run_scheduled_corpus_experiment(
+    pooled = run_corpus_experiment(
         benchmarks=corpus, config=config, jobs=CORPUS_JOBS
     )
     pooled_wall = time.perf_counter() - start
@@ -145,7 +144,7 @@ def measure_lanes() -> dict:
         keep_going=True,
     )
     serial = run_corpus_experiment(corpus, chaos_config)
-    pooled = run_scheduled_corpus_experiment(
+    pooled = run_corpus_experiment(
         benchmarks=corpus, config=chaos_config, jobs=4
     )
     lanes["chaos_identical"] = [outcome_signature(o) for o in serial] == [
@@ -156,13 +155,13 @@ def measure_lanes() -> dict:
         spec = StoreSpec(path=os.path.join(tmp, "store"))
         warm_config = _bench_config(tool_latency_seconds=0.0)
         # Warm the store, then compare a warm serial and a warm pooled run.
-        run_scheduled_corpus_experiment(
+        run_corpus_experiment(
             benchmarks=corpus, config=warm_config, jobs=1, store_spec=spec
         )
-        warm_serial = run_scheduled_corpus_experiment(
+        warm_serial = run_corpus_experiment(
             benchmarks=corpus, config=warm_config, jobs=1, store_spec=spec
         )
-        warm_pooled = run_scheduled_corpus_experiment(
+        warm_pooled = run_corpus_experiment(
             benchmarks=corpus, config=warm_config, jobs=4, store_spec=spec
         )
         lanes["warm_store_identical"] = [
@@ -229,7 +228,7 @@ def measure_streaming() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         results_path = os.path.join(tmp, "results.jsonl")
         with ResultsWriter(results_path) as writer:
-            count = run_scheduled_corpus_experiment(
+            count = run_corpus_experiment(
                 benchmarks=corpus, config=config, jobs=2,
                 on_outcome=writer.write, collect=False,
             )

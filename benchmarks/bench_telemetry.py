@@ -9,7 +9,7 @@ Emits ``BENCH_6.json`` with three lanes over the same seeded corpus of
   with in-memory accumulation: full span tree, dual clocks, and the
   probe provenance ledger (one event per physical probe).
 - **tracing_sharded** — the same session streaming to per-worker JSONL
-  shard files (the ``--jobs``/``--trace`` production configuration),
+  shard files (the ``--corpus-jobs``/``--trace`` production configuration),
   including the flush-per-line durability write.
 
 The lanes interleave within each rep; per rep, each tracing lane's wall

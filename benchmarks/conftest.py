@@ -18,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.harness.experiments import ExperimentConfig, run_corpus_experiment
+from repro.harness.experiments import ExperimentConfig
+from repro.parallel import run_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"

@@ -7,7 +7,7 @@ the parent):
 1. Generate and persist the ``CorpusConfig.njr()`` corpus (1000 apps,
    geo-means calibrated to the paper's Table 1) under
    ``benchmarks/runs/njr/corpus``.
-2. Run the full corpus through ``run_scheduled_corpus_experiment``
+2. Run the full corpus through ``run_corpus_experiment``
    (``--corpus-jobs 2``, manifest-planned, longest-job-first) with the
    J-Reduce baseline plus the coverage-debloating row-group, streaming
    every outcome to ``njr_results.jsonl``.
@@ -38,7 +38,7 @@ from repro.harness.report import (  # noqa: E402
 )
 from repro.parallel.scheduler import (  # noqa: E402
     load_cost_hints,
-    run_scheduled_corpus_experiment,
+    run_corpus_experiment,
 )
 from repro.workloads.corpus import (  # noqa: E402
     CorpusConfig,
@@ -94,7 +94,7 @@ def full_corpus_pass() -> None:
             log(f"  [{done[0]}] {line}")
 
     with ResultsWriter(RESULTS) as writer:
-        count = run_scheduled_corpus_experiment(
+        count = run_corpus_experiment(
             corpus_path=CORPUS_DIR,
             config=config,
             jobs=CORPUS_JOBS,
@@ -122,7 +122,7 @@ def sample_pass() -> None:
             log(f"  [{done[0]}] {line}")
 
     with ResultsWriter(RESULTS) as writer:
-        count = run_scheduled_corpus_experiment(
+        count = run_corpus_experiment(
             benchmarks=benchmarks,
             config=config,
             jobs=CORPUS_JOBS,

@@ -9,19 +9,19 @@ Subcommands:
   to the smallest valid sub-program whose kept-item set contains the
   named items (a containment predicate stands in for the buggy tool;
   item syntax matches the bracket rendering, e.g. ``[A.m()!code]``).
-- ``jlreduce bench [--profile small|paper|njr] [--jobs N] [--store P]``
-  — run the corpus experiment and print the Section 5 reports;
-  ``--jobs`` fans instances out to a worker *thread* pool (0: one per
-  CPU), ``--store`` persists predicate outcomes so repeat runs skip
-  fresh invocations.  ``--corpus-jobs N`` switches to the
-  process-parallel corpus scheduler instead (whole instances on worker
-  processes, longest-job-first, serial-order commit; 0: one per CPU),
-  with ``--worker-budget T`` capping corpus workers + per-worker probe
-  pools at T live workers total, ``--results FILE.jsonl`` streaming
-  per-instance outcomes to disk (no O(corpus) memory in the parent),
-  ``--debloat`` adding the coverage-debloating row-group, and
-  ``--corpus-dir DIR`` running a corpus persisted by ``jlreduce corpus
-  generate`` from its manifest instead of building one in memory.
+- ``jlreduce bench [--profile small|paper|njr] [--corpus-jobs N]
+  [--store P]`` — run the corpus experiment and print the Section 5
+  reports.  ``--corpus-jobs N`` runs whole instances on N worker
+  processes (longest-job-first, serial-order commit, the same outcomes
+  as the default inline run; 0: one per CPU), with ``--worker-budget
+  T`` capping corpus workers + per-worker probe pools at T live workers
+  total; ``--store`` persists predicate outcomes so repeat runs skip
+  fresh invocations; ``--results FILE.jsonl`` streams per-instance
+  outcomes to disk.  ``--corpus-dir DIR`` runs a corpus persisted by
+  ``jlreduce corpus generate`` from its manifest instead of building
+  one in memory, and ``--debloat`` adds the coverage-debloating
+  scenario; either prints a streaming report with one row-group per
+  scenario (no O(corpus) memory in the parent).
   ``--num-benchmarks N`` overrides the profile's corpus size.
   The store is the sharded cache tier by default (``--store-backend
   sharded``: lazily-loaded hash-selected shard files with compaction;
@@ -75,10 +75,10 @@ Subcommands:
   and print the measured throughput/latency curve.
 
 ``reduce`` and ``bench`` accept ``--trace FILE.jsonl`` (record spans and
-metrics for the run; a parallel ``bench --jobs N`` streams per-worker
-shard files next to it), ``--profile-phases`` (opt-in cProfile hotspot
-capture per reduce phase, recorded into the trace), and ``--json``
-(machine-readable result on stdout).
+metrics for the run; ``bench --corpus-jobs N`` with N > 1 streams
+per-worker shard files next to it), ``--profile-phases`` (opt-in
+cProfile hotspot capture per reduce phase, recorded into the trace),
+and ``--json`` (machine-readable result on stdout).
 
 Exit status is 0 on success, 1 on user errors (bad file, unknown item),
 2 on argument errors (argparse's convention).
@@ -190,20 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the profile's corpus size",
     )
     bench.add_argument(
-        "--jobs",
+        "--corpus-jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for instance runs (0: one per CPU; default 1)",
-    )
-    bench.add_argument(
-        "--corpus-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run whole instances on N worker processes via the corpus "
-        "scheduler (longest-job-first dispatch, serial-order commit; "
-        "outcomes match --jobs 1 byte for byte; 0: one per CPU)",
+        help="run whole instances on N worker processes (longest-job-"
+        "first dispatch, serial-order commit; outcomes match the inline "
+        "run; 0: one per CPU; default 1: inline, no worker processes)",
     )
     bench.add_argument(
         "--worker-budget",
@@ -212,22 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="cap total live workers (corpus workers + their probe "
         "pools) at T so --corpus-jobs x --speculate never "
-        "oversubscribes (default: one per CPU when --corpus-jobs is "
-        "used)",
+        "oversubscribes (default: no cap)",
     )
     bench.add_argument(
         "--results",
         metavar="FILE.jsonl",
         help="stream per-instance outcomes to FILE as JSONL "
-        "(append-ordered, one row per instance; with --corpus-jobs the "
-        "parent holds no per-outcome state)",
+        "(append-ordered, one row per instance)",
     )
     bench.add_argument(
         "--corpus-dir",
         metavar="DIR",
         help="run a corpus persisted by 'jlreduce corpus generate' from "
-        "its manifest (requires --corpus-jobs; apps load lazily in the "
-        "workers)",
+        "its manifest (apps load lazily, one instance at a time)",
     )
     bench.add_argument(
         "--debloat",
@@ -695,7 +685,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.profile,
             args.trace,
             args.json,
-            args.jobs,
             args.store,
             num_benchmarks=args.num_benchmarks,
             corpus_jobs=args.corpus_jobs,
@@ -1008,10 +997,9 @@ def _bench(
     profile: str,
     trace_path: Optional[str] = None,
     json_output: bool = False,
-    jobs: int = 1,
     store_path: Optional[str] = None,
     num_benchmarks: Optional[int] = None,
-    corpus_jobs: Optional[int] = None,
+    corpus_jobs: int = 1,
     worker_budget: Optional[int] = None,
     results_path: Optional[str] = None,
     corpus_dir: Optional[str] = None,
@@ -1033,14 +1021,35 @@ def _bench(
     tool_latency_ms: float = 0.0,
     profile_phases: bool = False,
 ) -> int:
-    from repro.harness.experiments import ExperimentConfig
-    from repro.resilience import Budget
-    from repro.workloads.corpus import CorpusConfig, build_corpus
+    """``bench``: the corpus through the one corpus engine.
 
-    if jobs < 0:
-        print(f"jlreduce: --jobs must be >= 0, got {jobs}", file=sys.stderr)
-        return 1
-    if corpus_jobs is not None and corpus_jobs < 0:
+    The report follows the run's inputs, never the job count: an
+    in-memory corpus prints the Section 5 report stack; ``--corpus-dir``
+    or ``--debloat`` stream outcomes into a :class:`StreamingReport`
+    whose row-groups are scenarios (the parent then holds no
+    per-outcome state unless ``--json`` asks for it).
+    """
+    import os
+
+    from repro.harness.experiments import ExperimentConfig
+    from repro.harness.report import ResultsWriter, StreamingReport
+    from repro.observability import (
+        ShardSet,
+        metric_events,
+        new_run_id,
+        tracing_session,
+        write_trace,
+    )
+    from repro.parallel import DEFAULT_SHARDS, StoreSpec, run_corpus_experiment
+    from repro.reduction import ReductionError
+    from repro.resilience import Budget, OracleCrash, TransientOracleError
+    from repro.workloads.corpus import (
+        MANIFEST_NAME,
+        CorpusConfig,
+        build_corpus,
+    )
+
+    if corpus_jobs < 0:
         print(f"jlreduce: --corpus-jobs must be >= 0, got {corpus_jobs}",
               file=sys.stderr)
         return 1
@@ -1052,18 +1061,14 @@ def _bench(
         print(f"jlreduce: --num-benchmarks must be > 0, got "
               f"{num_benchmarks}", file=sys.stderr)
         return 1
-    if corpus_dir is not None and corpus_jobs is None:
-        print("jlreduce: --corpus-dir needs --corpus-jobs (the corpus "
-              "scheduler plans from the manifest)", file=sys.stderr)
-        return 1
-    if debloat and corpus_jobs is None:
-        print("jlreduce: --debloat needs --corpus-jobs (row-groups render "
-              "through the scheduler's streaming report)", file=sys.stderr)
-        return 1
-    if corpus_jobs is not None and store_path and store_tenant:
-        print("jlreduce: --store-tenant is not supported with "
-              "--corpus-jobs (worker processes open the store from an "
-              "untenanted spec)", file=sys.stderr)
+    if corpus_dir is not None and not os.path.isfile(
+        os.path.join(corpus_dir, MANIFEST_NAME)
+    ):
+        print(
+            f"jlreduce: {corpus_dir}: no corpus manifest (persist one "
+            "with 'jlreduce corpus generate' first)",
+            file=sys.stderr,
+        )
         return 1
     plan = None
     if chaos is not None:
@@ -1101,6 +1106,24 @@ def _bench(
     except ValueError as exc:
         print(f"jlreduce: {exc}", file=sys.stderr)
         return 1
+    store_spec = None
+    if store_path:
+        store_spec = StoreSpec(
+            path=store_path,
+            backend=store_backend,
+            shards=(
+                store_shards if store_shards is not None else DEFAULT_SHARDS
+            ),
+            max_entries=store_max_entries,
+        )
+        try:
+            # Fail fast on a bad store before any corpus work; the
+            # engine reopens it from the spec.
+            store_spec.open().close()
+        except (OSError, ValueError) as exc:
+            print(f"jlreduce: cannot open store {store_path}: {exc}",
+                  file=sys.stderr)
+            return 1
     experiment = ExperimentConfig(
         budget_calls=budget_calls,
         budget_seconds=budget_seconds,
@@ -1115,83 +1138,106 @@ def _bench(
         tenant=store_tenant,
         worker_budget=worker_budget,
     )
-    config = {
-        "paper": CorpusConfig.paper,
-        "njr": CorpusConfig.njr,
-        "small": CorpusConfig.small,
-    }[profile]()
-    if num_benchmarks is not None:
-        from dataclasses import replace
-
-        config = replace(config, num_benchmarks=num_benchmarks)
     progress = (
         None if json_output else lambda line: print(f"  {line}")
     )
-    if corpus_jobs is not None:
-        return _bench_scheduled(
-            config,
-            experiment,
-            corpus_jobs,
-            profile=profile,
-            trace_path=trace_path,
-            json_output=json_output,
-            progress=progress,
-            results_path=results_path,
-            corpus_dir=corpus_dir,
-            debloat=debloat,
-            store_path=store_path,
-            store_backend=store_backend,
-            store_shards=store_shards,
-            store_max_entries=store_max_entries,
-        )
-    if not json_output:
-        print(f"building corpus ({profile} profile) ...")
-    corpus = build_corpus(config)
-    # Every store backend is a context manager; the ExitStack guarantees
-    # the append descriptors close even when a reduction raises mid-run
-    # (the bare open/close pair used to leak the O_APPEND fd on error).
-    with ExitStack() as stack:
-        store = None
-        if store_path:
-            from repro.parallel import DEFAULT_SHARDS, open_store
 
-            try:
-                store = stack.enter_context(
-                    open_store(
-                        store_path,
-                        backend=store_backend,
-                        shards=(
-                            store_shards
-                            if store_shards is not None
-                            else DEFAULT_SHARDS
-                        ),
-                        max_entries=store_max_entries,
-                    )
-                )
-            except (OSError, ValueError) as exc:
-                print(
-                    f"jlreduce: cannot open store {store_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
-        outcomes = _run_bench_session(
-            corpus, profile, trace_path, json_output, progress, jobs,
-            store, experiment,
-        )
-        if outcomes is None:
-            return 1
+    row_groups = corpus_dir is not None or debloat
+    corpus = None
+    if corpus_dir is not None:
+        source = {"corpus_path": corpus_dir, "include_debloat": debloat}
+    else:
+        config = {
+            "paper": CorpusConfig.paper,
+            "njr": CorpusConfig.njr,
+            "small": CorpusConfig.small,
+        }[profile]()
+        if num_benchmarks is not None:
+            from dataclasses import replace
 
-    if results_path:
-        from repro.harness.report import ResultsWriter
+            config = replace(config, num_benchmarks=num_benchmarks)
+        if not json_output:
+            print(f"building corpus ({profile} profile) ...")
+        corpus = build_corpus(config)
+        if debloat:
+            from repro.workloads.debloat import add_debloat_instances
 
-        try:
-            with ResultsWriter(results_path) as writer:
-                for outcome in outcomes:
+            add_debloat_instances(corpus)
+        source = {"benchmarks": corpus}
+    report = StreamingReport() if row_groups else None
+
+    def run():
+        if not (json_output or row_groups):
+            from repro.harness import corpus_statistics, render_statistics
+
+            print(render_statistics(corpus_statistics(corpus)))
+            print("\nrunning strategies ...")
+        with ExitStack() as stack:
+            writer = (
+                stack.enter_context(ResultsWriter(results_path))
+                if results_path
+                else None
+            )
+
+            def on_outcome(outcome):
+                if report is not None:
+                    report.add(outcome)
+                if writer is not None:
                     writer.write(outcome)
-        except OSError as exc:
-            print(f"jlreduce: cannot write {results_path}: {exc}",
-                  file=sys.stderr)
-            return 1
+
+            return run_corpus_experiment(
+                config=experiment,
+                progress=progress,
+                jobs=corpus_jobs,
+                store_spec=store_spec,
+                on_outcome=on_outcome,
+                collect=json_output or not row_groups,
+                **source,
+            )
+
+    def session():
+        if not trace_path:
+            return run()
+        handle = _open_trace(trace_path)
+        if handle is None:
+            return None
+        if corpus_jobs == 1:
+            with handle:
+                with tracing_session() as (tracer, metrics):
+                    result = run()
+                write_trace(
+                    handle, tracer, metrics, label=f"bench {profile}"
+                )
+            return result
+        # Worker processes: stream per-worker shard files next to the
+        # base trace (worker "main" writes the base file itself) so a
+        # killed worker loses at most one torn line.  The `trace`
+        # subcommands discover and merge the shard family.
+        handle.close()
+        run_id = new_run_id()
+        with ShardSet(
+            trace_path, run_id=run_id, label=f"bench {profile}"
+        ) as shards:
+            with tracing_session(
+                run_id=run_id, shards=shards
+            ) as (tracer, metrics):
+                result = run()
+                for event in metric_events(metrics, run_id=run_id):
+                    shards.emit_main(event)
+        return result
+
+    try:
+        outcomes = session()
+    except (ReductionError, OracleCrash, TransientOracleError) as exc:
+        print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
+        print("jlreduce: rerun with --keep-going to record failed "
+              "instances and finish the corpus", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"jlreduce: {exc}", file=sys.stderr)
+        return 1
+    if outcomes is None:
+        return 1
 
     if json_output:
         from dataclasses import asdict
@@ -1201,168 +1247,43 @@ def _bench(
             "outcomes": [asdict(outcome) for outcome in outcomes],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _bench_scheduled(
-    config,
-    experiment,
-    corpus_jobs: int,
-    *,
-    profile: str,
-    trace_path: Optional[str],
-    json_output: bool,
-    progress,
-    results_path: Optional[str],
-    corpus_dir: Optional[str],
-    debloat: bool,
-    store_path: Optional[str],
-    store_backend: str,
-    store_shards: Optional[int],
-    store_max_entries: Optional[int],
-) -> int:
-    """``bench`` routed through the process-parallel corpus scheduler.
-
-    Outcomes stream through a :class:`StreamingReport` (and, with
-    ``--results``, to JSONL) instead of the Section 5 report stack, so
-    the parent never holds the corpus's outcomes in memory and the
-    debloating scenario renders as its own row-group.
-    """
-    import os
-
-    from repro.harness.report import ResultsWriter, StreamingReport
-    from repro.observability import (
-        ShardSet,
-        metric_events,
-        new_run_id,
-        tracing_session,
-        write_trace,
-    )
-    from repro.parallel.scheduler import (
-        StoreSpec,
-        run_scheduled_corpus_experiment,
-    )
-    from repro.reduction import ReductionError
-    from repro.resilience import OracleCrash, TransientOracleError
-
-    store_spec = None
-    if store_path:
-        from repro.parallel import DEFAULT_SHARDS
-
-        store_spec = StoreSpec(
-            path=store_path,
-            backend=store_backend,
-            shards=(
-                store_shards if store_shards is not None else DEFAULT_SHARDS
-            ),
-            max_entries=store_max_entries,
-        )
-
-    kwargs = {}
-    if corpus_dir is not None:
-        from repro.workloads.corpus import MANIFEST_NAME
-
-        if not os.path.isfile(os.path.join(corpus_dir, MANIFEST_NAME)):
-            print(
-                f"jlreduce: {corpus_dir}: no corpus manifest (persist one "
-                "with 'jlreduce corpus generate' first)",
-                file=sys.stderr,
-            )
-            return 1
-        kwargs["corpus_path"] = corpus_dir
-        kwargs["include_debloat"] = debloat
-    else:
-        from repro.workloads.corpus import build_corpus
-
-        if not json_output:
-            print(f"building corpus ({profile} profile) ...")
-        corpus = build_corpus(config)
-        if debloat:
-            from repro.workloads.debloat import add_debloat_instances
-
-            add_debloat_instances(corpus)
-        kwargs["benchmarks"] = corpus
-
-    report = StreamingReport()
-
-    def run():
-        with ExitStack() as stack:
-            writer = (
-                stack.enter_context(ResultsWriter(results_path))
-                if results_path
-                else None
-            )
-
-            def on_outcome(outcome):
-                report.add(outcome)
-                if writer is not None:
-                    writer.write(outcome)
-
-            return run_scheduled_corpus_experiment(
-                config=experiment,
-                progress=progress,
-                jobs=corpus_jobs,
-                store_spec=store_spec,
-                on_outcome=on_outcome,
-                collect=json_output,
-                **kwargs,
-            )
-
-    def session():
-        if trace_path and corpus_jobs != 1:
-            handle = _open_trace(trace_path)
-            if handle is None:
-                return None
-            handle.close()
-            run_id = new_run_id()
-            with ShardSet(
-                trace_path, run_id=run_id, label=f"bench {profile}"
-            ) as shards:
-                with tracing_session(
-                    run_id=run_id, shards=shards
-                ) as (tracer, metrics):
-                    result = run()
-                    for event in metric_events(metrics, run_id=run_id):
-                        shards.emit_main(event)
-            return result
-        if trace_path:
-            handle = _open_trace(trace_path)
-            if handle is None:
-                return None
-            with handle:
-                with tracing_session() as (tracer, metrics):
-                    result = run()
-                write_trace(
-                    handle, tracer, metrics, label=f"bench {profile}"
-                )
-            return result
-        return run()
-
-    try:
-        result = session()
-    except (ReductionError, OracleCrash, TransientOracleError) as exc:
-        print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
-        print("jlreduce: rerun with --keep-going to record failed "
-              "instances and finish the corpus", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"jlreduce: {exc}", file=sys.stderr)
-        return 1
-    if result is None:
-        return 1
-
-    if json_output:
-        from dataclasses import asdict
-
-        payload = {
-            "profile": profile,
-            "outcomes": [asdict(outcome) for outcome in result],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+    elif report is not None:
         print()
         print(report.render())
+    else:
+        _print_section5(outcomes)
     return 0
+
+
+def _print_section5(outcomes) -> None:
+    """The paper's Section 5 reports over an in-memory corpus run."""
+    from repro.harness import (
+        mean_reduction_over_time,
+        render_cfd_table,
+        render_headline,
+        render_lossy_comparison,
+        render_timeline,
+    )
+    from repro.harness.report import by_strategy
+
+    print()
+    print(render_headline(outcomes))
+    print()
+    print(render_lossy_comparison(outcomes))
+    print()
+    for metric, title in (
+        ("time", "Figure 8a-1: time spent (simulated)"),
+        ("classes", "Figure 8a-2: final relative size (classes)"),
+        ("bytes", "Figure 8a-3: final relative size (bytes)"),
+    ):
+        print(render_cfd_table(outcomes, metric, title))
+        print()
+    series = {
+        name: mean_reduction_over_time(group)
+        for name, group in by_strategy(outcomes).items()
+        if name in ("our-reducer", "jreduce")
+    }
+    print(render_timeline(series))
 
 
 def _corpus_generate(
@@ -1423,114 +1344,6 @@ def _report(results_path: str) -> int:
         return 1
     print(report.render())
     return 0
-
-
-def _run_bench_session(
-    corpus, profile, trace_path, json_output, progress, jobs, store,
-    experiment,
-):
-    """One bench run with its tracing plumbing; None on handled failure."""
-    from repro.observability import (
-        ShardSet,
-        metric_events,
-        new_run_id,
-        tracing_session,
-        write_trace,
-    )
-    from repro.reduction import ReductionError
-    from repro.resilience import OracleCrash, TransientOracleError
-
-    try:
-        if trace_path and jobs != 1:
-            # Parallel run: stream per-worker shard files next to the
-            # base trace (worker "main" writes the base file itself) so
-            # a killed worker loses at most one torn line.  The `trace`
-            # subcommands discover and merge the shard family.
-            trace_handle = _open_trace(trace_path)
-            if trace_handle is None:
-                return None
-            trace_handle.close()
-            run_id = new_run_id()
-            with ShardSet(
-                trace_path, run_id=run_id, label=f"bench {profile}"
-            ) as shards:
-                with tracing_session(
-                    run_id=run_id, shards=shards
-                ) as (tracer, metrics):
-                    outcomes = _run_bench(
-                        corpus, profile, json_output, progress, jobs, store,
-                        experiment,
-                    )
-                    for event in metric_events(metrics, run_id=run_id):
-                        shards.emit_main(event)
-        elif trace_path:
-            trace_handle = _open_trace(trace_path)
-            if trace_handle is None:
-                return None
-            with trace_handle:
-                with tracing_session() as (tracer, metrics):
-                    outcomes = _run_bench(
-                        corpus, profile, json_output, progress, jobs, store,
-                        experiment,
-                    )
-                write_trace(
-                    trace_handle, tracer, metrics, label=f"bench {profile}"
-                )
-        else:
-            outcomes = _run_bench(
-                corpus, profile, json_output, progress, jobs, store,
-                experiment,
-            )
-    except (ReductionError, OracleCrash, TransientOracleError) as exc:
-        print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
-        print("jlreduce: rerun with --keep-going to record failed "
-              "instances and finish the corpus", file=sys.stderr)
-        return None
-    return outcomes
-
-
-def _run_bench(
-    corpus, profile, json_output, progress, jobs=1, store=None, experiment=None
-):
-    from repro.harness import (
-        corpus_statistics,
-        mean_reduction_over_time,
-        render_cfd_table,
-        render_headline,
-        render_lossy_comparison,
-        render_statistics,
-        render_timeline,
-        run_corpus_experiment,
-    )
-    from repro.harness.report import by_strategy
-
-    if not json_output:
-        print(render_statistics(corpus_statistics(corpus)))
-        print("\nrunning strategies ...")
-    outcomes = run_corpus_experiment(
-        corpus, config=experiment, progress=progress, jobs=jobs, store=store
-    )
-    if json_output:
-        return outcomes
-    print()
-    print(render_headline(outcomes))
-    print()
-    print(render_lossy_comparison(outcomes))
-    print()
-    for metric, title in (
-        ("time", "Figure 8a-1: time spent (simulated)"),
-        ("classes", "Figure 8a-2: final relative size (classes)"),
-        ("bytes", "Figure 8a-3: final relative size (bytes)"),
-    ):
-        print(render_cfd_table(outcomes, metric, title))
-        print()
-    series = {
-        name: mean_reduction_over_time(group)
-        for name, group in by_strategy(outcomes).items()
-        if name in ("our-reducer", "jreduce")
-    }
-    print(render_timeline(series))
-    return outcomes
 
 
 def _load_merged(patterns: List[str]):

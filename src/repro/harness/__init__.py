@@ -7,7 +7,8 @@ numbers):
 - :mod:`repro.harness.metrics` — geometric means, relative sizes, and
   cumulative-frequency-diagram series,
 - :mod:`repro.harness.stats` — the corpus statistics row,
-- :mod:`repro.harness.experiments` — per-instance strategy runs,
+- :mod:`repro.harness.experiments` — per-instance strategy runs (whole
+  corpora run through :func:`repro.parallel.run_corpus_experiment`),
 - :mod:`repro.harness.timeline` — reduction over (simulated) time,
 - :mod:`repro.harness.report` — text renderers for the figures/tables.
 """
@@ -23,7 +24,6 @@ from repro.harness.experiments import (
     InstanceOutcome,
     oracle_fingerprint,
     probe_pool,
-    run_corpus_experiment,
     run_instance,
 )
 from repro.harness.timeline import mean_reduction_over_time
@@ -47,7 +47,6 @@ __all__ = [
     "oracle_fingerprint",
     "probe_pool",
     "run_instance",
-    "run_corpus_experiment",
     "mean_reduction_over_time",
     "render_cfd_table",
     "render_headline",

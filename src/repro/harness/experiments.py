@@ -12,13 +12,14 @@ the Figure 8 reproductions plot.  The simulated clock is purely virtual
 (``cost × fresh calls``), so outcomes are deterministic across hosts
 and across serial/parallel execution; only ``real_seconds`` varies.
 
-``run_corpus_experiment(..., jobs=N)`` fans instances out to the
-worker pool in :mod:`repro.parallel.runner`; passing a predicate store
-(any :func:`repro.parallel.open_store` backend — the sharded cache
-tier, sqlite, or the v1 single file) makes predicate outcomes persist
-across runs (a warm store re-runs an instance with zero fresh
-predicate calls).  ``ExperimentConfig.tenant`` namespaces the store so
-many tenants can share one warm cache safely.
+Whole corpora run through :func:`repro.parallel.run_corpus_experiment`
+(inline at ``jobs=1``, worker processes above).  Passing
+:func:`run_instance` a predicate store (any
+:func:`repro.parallel.open_store` backend — the sharded cache tier,
+sqlite, or the v1 single file) makes predicate outcomes persist across
+runs (a warm store re-runs an instance with zero fresh predicate
+calls).  ``ExperimentConfig.tenant`` namespaces the store so many
+tenants can share one warm cache safely.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "probe_pool",
     "progress_line",
     "run_instance",
-    "run_corpus_experiment",
     "STRATEGY_NAMES",
 ]
 
@@ -135,7 +133,7 @@ class ExperimentConfig:
     #: Empty (the default) keeps the historical fingerprint scheme.
     tenant: str = ""
     #: Total live workers (corpus workers + probe-pool workers) the run
-    #: may hold at once; corpus runners size their probe pools down so
+    #: may hold at once; the corpus engine sizes probe pools down so
     #: the sum never exceeds it (see
     #: :class:`repro.parallel.scheduler.WorkerBudget`).  ``None`` (the
     #: default) keeps historical sizing: probe pools get exactly
@@ -302,7 +300,7 @@ def run_instance(
     against a warm store reports ``predicate_calls == 0``.
 
     ``probe_executor`` is the worker pool for speculative probes when
-    ``config.speculate > 1`` (corpus runs share one across instances);
+    ``config.speculate > 1`` (a corpus run shares one across instances);
     left ``None``, a private pool is created and torn down per run.
 
     Resilience: ``config.chaos`` wraps the raw oracle in a seeded fault
@@ -336,10 +334,6 @@ def run_instance(
 def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
     """The worker pool for speculative probes, or None when sequential.
 
-    Kept separate from the instance-level pool of
-    :mod:`repro.parallel.runner` — an instance worker blocking on probe
-    futures scheduled into its *own* pool could deadlock.
-
     ``max_workers`` caps the pool's *physical* size (the worker-budget
     hook; see :class:`repro.parallel.scheduler.WorkerBudget`) without
     touching ``config.speculate`` — the speculation width K governs
@@ -368,21 +362,18 @@ def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
 
 
 def probe_cap_for(
-    config: Optional[ExperimentConfig], corpus_jobs: int, shared: bool = True
+    config: Optional[ExperimentConfig], corpus_jobs: int
 ) -> Optional[int]:
-    """The probe-pool size cap the worker budget imposes, or None.
+    """The per-pool probe cap the worker budget imposes, or None.
 
-    ``shared`` distinguishes the thread runner's one pool shared by all
-    corpus workers from the process scheduler's per-worker pools (where
-    the leftover budget divides across ``corpus_jobs``).
+    Each of the ``corpus_jobs`` corpus workers owns a probe pool, so the
+    budget left after the corpus workers divides across them.
     """
     if config is None or config.worker_budget is None:
         return None
     from repro.parallel.scheduler import WorkerBudget
 
-    return WorkerBudget(config.worker_budget).probe_pool_cap(
-        corpus_jobs, shared=shared
-    )
+    return WorkerBudget(config.worker_budget).probe_pool_cap(corpus_jobs)
 
 
 def _maybe_profile(config: ExperimentConfig, tracer):
@@ -620,17 +611,22 @@ def error_outcome(
     )
 
 
-#: Per-run metric names that report cache-tier *residency* rather than
+#: Per-run metric names that report cache *residency* rather than
 #: semantics: which process's store handle had a shard loaded, how many
-#: foreign lines its scan walked, what its LRU evicted.  They are
-#: faithful telemetry but inherently placement-dependent — two runs with
-#: identical probe traffic report different values depending on which
-#: worker's handle served them — so outcome comparisons exclude them.
+#: foreign lines its scan walked, what its LRU evicted, and whether the
+#: class-reduction memo of the process that materialized a probe had
+#: seen that class before (each process-backend probe worker keeps its
+#: own memo).  They are faithful telemetry but inherently
+#: placement-dependent — two runs with identical probe traffic report
+#: different values depending on which worker served them — so outcome
+#: comparisons exclude them.
 RESIDENCY_METRICS = (
     "store.shard_loads",
     "store.lines_scanned",
     "store.evictions",
     "store.compactions",
+    "reducer.memo_hits",
+    "reducer.memo_misses",
 )
 
 
@@ -668,57 +664,6 @@ def progress_line(outcome: InstanceOutcome) -> str:
         f"{prefix}: {outcome.relative_bytes:.1%} bytes in "
         f"{outcome.predicate_calls} runs{suffix}"
     )
-
-
-def run_corpus_experiment(
-    benchmarks: Sequence[Benchmark],
-    config: Optional[ExperimentConfig] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[InstanceOutcome]:
-    """Run every configured strategy on every buggy instance.
-
-    Args:
-        benchmarks: the corpus.
-        config: shared strategy knobs.
-        progress: optional per-instance status-line callback.
-        jobs: worker threads; ``jobs != 1`` delegates to
-            :func:`repro.parallel.run_parallel_corpus_experiment`
-            (None/0 there means one worker per CPU).  Outcomes are
-            merged in serial order either way.
-        store: optional predicate store (any
-            :func:`repro.parallel.open_store` backend) shared by every
-            instance run.
-    """
-    config = config or ExperimentConfig()
-    if jobs != 1:
-        from repro.parallel import run_parallel_corpus_experiment
-
-        return run_parallel_corpus_experiment(
-            benchmarks, config, progress=progress, jobs=jobs, store=store
-        )
-    outcomes: List[InstanceOutcome] = []
-    probes = probe_pool(config, max_workers=probe_cap_for(config, 1))
-    try:
-        for benchmark in benchmarks:
-            for instance in benchmark.instances:
-                for strategy in config.strategies:
-                    outcome = run_instance(
-                        benchmark,
-                        instance,
-                        strategy,
-                        config,
-                        store,
-                        probe_executor=probes,
-                    )
-                    outcomes.append(outcome)
-                    if progress is not None:
-                        progress(progress_line(outcome))
-    finally:
-        if probes is not None:
-            probes.shutdown(wait=True)
-    return outcomes
 
 
 def _class_subset(app, kept_classes: FrozenSet[str]):

@@ -50,7 +50,7 @@ For a sharded (multi-worker) session, hand it a
 
     with ShardSet("run.jsonl", run_id=run_id) as shards:
         with tracing_session(run_id=run_id, shards=shards) as (t, m):
-            run_parallel_corpus_experiment(...)
+            run_corpus_experiment(corpus, jobs=4)
 """
 
 from contextlib import contextmanager

@@ -10,13 +10,13 @@ that issued it.
 A :class:`TraceContext` is the serializable capsule that fixes that:
 
 - ``run_id`` — one telemetry session (one CLI invocation, one bench);
-- ``trace_id`` — one causal tree inside the run (the corpus runner
+- ``trace_id`` — one causal tree inside the run (the corpus engine
   derives one per instance task, so a merged trace groups cleanly);
 - ``span_id`` — the nearest *recorded* span in the spawning frame; a
   worker that re-attaches the context parents its root spans here, so
   the merged timeline is one connected tree;
 - ``serial`` — the task's serial commit position (the order
-  ``runner.py``/``speculate.py`` merge results in), the primary sort
+  ``scheduler.py``/``speculate.py`` commit results in), the primary sort
   key of the deterministic shard merge;
 - ``worker`` — the shard label (``main``, ``w0`` ...); doubles as the
   span-id namespace so ids stay unique across workers and, next PR,

@@ -9,8 +9,8 @@ hot inner loops (DPLL propagation) still aggregate locally and push one
 Naming convention: dotted lowercase paths, ``<subsystem>.<what>``, e.g.
 ``solver.decisions``, ``counting.cache_hits``, ``predicate.calls``.
 
-Concurrency model (the parallel corpus runner fans reduction runs out to
-worker threads, all hitting this registry):
+Concurrency model (speculative probes and the service's thread-backed
+instance pool run on worker threads, all hitting this registry):
 
 - every metric carries its own lock, so concurrent ``inc``/``set``/
   ``observe`` calls never lose updates;

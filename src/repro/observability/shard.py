@@ -14,11 +14,11 @@ whole trace.  Shards fix both:
   one torn final line — which the tolerant loader skips, exactly like
   :mod:`repro.parallel.store`.
 - **Deterministic merge.**  Events carry ``serial`` (the owning task's
-  serial commit position — the same order ``runner.py`` merges outcomes
-  and ``speculate.py`` commits batch results) and ``seq`` (per-tracer
-  emit index).  :func:`merge_events` sorts by ``(serial, seq)``:
+  serial commit position — the same order the corpus engine commits
+  outcomes and ``speculate.py`` commits batch results) and ``seq``
+  (per-tracer emit index).  :func:`merge_events` sorts by ``(serial, seq)``:
   parent-process events (serial -1) first, then each task's events in
-  emit order, regardless of which worker thread actually ran it or how
+  emit order, regardless of which worker actually ran it or how
   the shard files interleaved on disk.  Two runs of the same corpus
   produce the same merged *structure* (wall-clock fields still vary).
 
@@ -69,7 +69,7 @@ def expand_trace_args(patterns: Sequence[str]) -> List[str]:
 
     Each argument may be a literal path or a glob; every resolved base
     path additionally pulls in its shard siblings, so ``trace summarize
-    bench.jsonl`` sees the whole ``--jobs 4`` run.  Order is stable and
+    bench.jsonl`` sees the whole ``--corpus-jobs 4`` run.  Order is stable and
     duplicates are dropped.
     """
     seen: Dict[str, None] = {}
@@ -93,7 +93,7 @@ def merge_events(
     """Merge per-shard event lists into one serial-commit-ordered list.
 
     Sort key: ``(serial, seq)`` — parent-process events (serial -1)
-    first, then tasks in the order the runner commits their results;
+    first, then tasks in the order the engine commits their results;
     within a task, tracer emit order.  Events without the v2 keys
     (schema-1 traces) sort by their original position, so old traces
     still merge stably.  ``meta`` lines float to the front.

@@ -253,8 +253,8 @@ def summarize(
 
     ``instances`` lists the slowest ``instance.run`` spans (at most
     :data:`INSTANCE_TOP`, by wall clock) with their probe tallies
-    joined by serial commit number.  Traces without serials (a
-    ``--jobs 1`` bench writes every event with serial ``-1``) still
+    joined by serial commit number.  Traces without serials (an
+    inline bench writes every event with serial ``-1``) still
     list the slow instances, but their probe columns read ``None`` —
     probes cannot be attributed to one instance without the serial.
     """

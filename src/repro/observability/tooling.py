@@ -45,7 +45,7 @@ def render_timeline(
     Spans print in start order, indented under their parents; each line
     shows both clocks.  Probe ledger events print (indented one deeper)
     under their owning span when ``with_probes``.  ``limit`` truncates
-    the output (a ``--jobs 4`` corpus trace can run long).
+    the output (a ``--corpus-jobs 4`` corpus trace can run long).
     """
     spans = [e for e in events if e.get("type") == "span"]
     spans.sort(key=lambda s: (s.get("start", 0.0), s.get("seq", 0)))

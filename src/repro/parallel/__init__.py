@@ -1,14 +1,18 @@
-"""Parallel experiment execution and the persistent predicate cache.
+"""Corpus execution and the persistent predicate cache.
 
-The ROADMAP's north star is throughput: the harness used to run every
-(benchmark × decompiler × strategy) instance strictly serially with no
-outcome reuse across runs, even though the predicate — the paper's
-~33-second decompile+compile cycle — is a pure function of (oracle,
-kept items).  This package amortizes both axes:
+Every (benchmark × decompiler × strategy) instance is independent, and
+the predicate — the paper's ~33-second decompile+compile cycle — is a
+pure function of (oracle, kept items).  This package amortizes both
+axes:
 
-- :mod:`repro.parallel.runner` — a worker-pool corpus runner that fans
-  independent instances out and merges outcomes deterministically in
-  serial order (``jlreduce bench --jobs N``),
+- :mod:`repro.parallel.scheduler` — the one corpus engine,
+  :func:`run_corpus_experiment`: inline at ``jobs=1`` (the sequential
+  runner), otherwise whole reduction instances fanned to spawn-safe
+  worker processes (:class:`InstanceTaskSpec`), dispatched adaptive
+  longest-job-first, committed in serial order (outcomes, metrics,
+  spans, ledger), with a shared :class:`WorkerBudget` so corpus
+  workers × probe workers never oversubscribe the machine
+  (``jlreduce bench --corpus-jobs N``),
 - :mod:`repro.parallel.store` — the persistent predicate cache tier,
   keyed by oracle fingerprint + canonical sub-input hash, which
   :class:`~repro.reduction.predicate.InstrumentedPredicate` reads
@@ -28,15 +32,9 @@ kept items).  This package amortizes both axes:
   rebuild the predicate chain from a picklable :class:`ProbeTaskSpec`,
   beating the GIL on the pure-Python probe work the thread pool cannot
   overlap; the parent commits results serially, so outcomes stay
-  byte-identical across backends,
-- :mod:`repro.parallel.scheduler` — the corpus-level analogue: whole
-  reduction instances fanned to spawn-safe worker processes
-  (:class:`InstanceTaskSpec`), dispatched adaptive longest-job-first,
-  committed in serial order (outcomes, metrics, spans, ledger), with a
-  shared :class:`WorkerBudget` so corpus workers × probe workers never
-  oversubscribe the machine (``jlreduce bench --corpus-jobs N``).
+  byte-identical across backends.
 
-Both lean on the concurrency-safe telemetry in
+All of them lean on the concurrency-safe telemetry in
 :mod:`repro.observability`: lock-protected metrics and thread-scoped
 per-run registries (:func:`~repro.observability.scoped_metrics`), so
 concurrent reductions never pollute each other's
@@ -49,10 +47,6 @@ from repro.parallel.procpool import (
     ToolLatencyPredicate,
     build_worker_predicate,
 )
-from repro.parallel.runner import (
-    resolve_jobs,
-    run_parallel_corpus_experiment,
-)
 from repro.parallel.scheduler import (
     InstancePool,
     InstanceTaskSpec,
@@ -60,8 +54,9 @@ from repro.parallel.scheduler import (
     WorkerBudget,
     close_worker_caches,
     load_cost_hints,
+    resolve_jobs,
+    run_corpus_experiment,
     run_instance_task,
-    run_scheduled_corpus_experiment,
 )
 from repro.parallel.speculate import (
     candidate_midpoints,
@@ -99,8 +94,7 @@ __all__ = [
     "run_instance_task",
     "open_store",
     "resolve_jobs",
-    "run_parallel_corpus_experiment",
-    "run_scheduled_corpus_experiment",
+    "run_corpus_experiment",
     "speculation_allowed",
     "speculative_interval_search",
 ]

@@ -1,22 +1,22 @@
-"""Process-parallel corpus scheduling: whole instances across cores.
+"""The corpus engine: whole reduction instances, inline or across cores.
 
-PR 7 moved *probes* onto worker processes; the corpus loop above them
-stayed a GIL-bound ``ThreadPoolExecutor`` (:mod:`repro.parallel.runner`)
-whose workers only overlap external tool latency.  This module fans
-**whole reduction instances** out to spawn-safe worker processes, the
-way the paper's evaluation actually ran: one machine, many benchmarks,
-all cores busy.
+Every corpus run goes through :func:`run_corpus_experiment`.  At
+``jobs=1`` it runs inline — the sequential runner, same enumeration, no
+processes.  Above that it fans **whole reduction instances** out to
+spawn-safe worker processes, the way the paper's evaluation actually
+ran: one machine, many benchmarks, all cores busy.
 
-The contract extends PR 7's recipe one level up (DESIGN.md §12):
+The contract extends PR 7's probe recipe one level up (DESIGN.md §12):
 
 - **Task pickling.**  An :class:`InstanceTaskSpec` is a picklable
   recipe for one (benchmark, instance) pair: the application (inline
   ``serialize_application`` bytes, or a path into a persisted corpus so
   a 1000-app parent never holds the blobs), the scenario and decompiler
-  *names*, the full :class:`~repro.harness.experiments.ExperimentConfig`,
-  the store recipe (:class:`StoreSpec` — workers open their own handle;
-  PR 8's O_APPEND + manifest discipline makes concurrent appends safe),
-  and the serial base of the instance's strategy runs.
+  *names*, the full :class:`~repro.harness.experiments.ExperimentConfig`
+  (store tenant included), the store recipe (:class:`StoreSpec` —
+  workers open their own handle; PR 8's O_APPEND + manifest discipline
+  makes concurrent appends safe), and the serial base of the instance's
+  strategy runs.
 - **Worker results.**  A worker runs every configured strategy of its
   instance *in serial order* under a fresh ``scoped_metrics`` child and
   a real per-process tracer, and ships back, per strategy: the
@@ -34,11 +34,10 @@ The contract extends PR 7's recipe one level up (DESIGN.md §12):
   virtual clock, telemetry totals, and the probe ledger match a
   ``jobs=1`` run.
 
-Determinism is *stronger* than the thread runner's: strategies of one
-instance run sequentially inside one worker, so a shared **cold** store
-warms in exactly the ``jobs=1`` order (strategies of an instance are the
-only runs that share a fingerprint; distinct benchmarks never collide),
-where the thread runner's per-strategy fan-out can interleave them.
+Strategies of one instance run sequentially inside one worker, so a
+shared **cold** store warms in exactly the ``jobs=1`` order (strategies
+of an instance are the only runs that share a fingerprint; distinct
+benchmarks never collide).
 
 **Adaptive longest-job-first dispatch.**  Tasks are predicted from item
 counts (persisted-corpus manifests carry them) or prior-run telemetry
@@ -51,9 +50,9 @@ order), only the makespan.
 
 **Shared worker budget.**  :class:`WorkerBudget` caps corpus workers ×
 per-worker probe-pool workers at a configured total
-(``ExperimentConfig.worker_budget``), closing PR 7's oversubscription
-hole where ``--jobs N --probe-backend process --speculate K`` spawned
-``N×K`` probe processes with no global cap.
+(``ExperimentConfig.worker_budget``), so ``--corpus-jobs N
+--probe-backend process --speculate K`` cannot spawn ``N×K`` probe
+processes with no global cap.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -85,7 +85,6 @@ from repro.harness.experiments import (
 )
 from repro.observability import get_metrics, get_tracer
 from repro.observability.context import TraceContext
-from repro.parallel.runner import resolve_jobs
 from repro.parallel.store import DEFAULT_SHARDS
 from repro.workloads.corpus import Benchmark, BuggyInstance, load_manifest
 
@@ -98,9 +97,19 @@ __all__ = [
     "InstanceTaskResult",
     "close_worker_caches",
     "load_cost_hints",
+    "resolve_jobs",
+    "run_corpus_experiment",
     "run_instance_task",
-    "run_scheduled_corpus_experiment",
 ]
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a corpus job count: None/0 means one per CPU."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 # ----------------------------------------------------------------------
@@ -113,12 +122,10 @@ class WorkerBudget:
     """A global cap on live workers (corpus + probe pools combined).
 
     ``probe_pool_cap`` answers "how many probe workers may each pool
-    hold so the sum stays under budget": the thread runner shares *one*
-    probe pool across all corpus workers (``shared=True``); the process
-    scheduler gives each of its ``corpus_jobs`` workers a private pool,
-    so the leftover divides (``shared=False``).  The cap never drops
-    below one worker — a pool that cannot exist would change results,
-    and the budget's job is sizing, not semantics.
+    hold so the sum stays under budget": each of the ``corpus_jobs``
+    workers owns a private probe pool, so the leftover divides.  The
+    cap never drops below one worker — a pool that cannot exist would
+    change results, and the budget's job is sizing, not semantics.
     """
 
     total: int
@@ -138,11 +145,9 @@ class WorkerBudget:
         """Clamp a requested corpus-worker count to the budget."""
         return max(1, min(requested, self.total))
 
-    def probe_pool_cap(self, corpus_jobs: int, shared: bool = True) -> int:
+    def probe_pool_cap(self, corpus_jobs: int) -> int:
         """Max workers per probe pool, given ``corpus_jobs`` are taken."""
-        leftover = max(0, self.total - corpus_jobs)
-        if not shared:
-            leftover = leftover // max(1, corpus_jobs)
+        leftover = max(0, self.total - corpus_jobs) // max(1, corpus_jobs)
         return max(1, leftover)
 
 
@@ -189,8 +194,8 @@ class InstanceTaskSpec:
     paper-scale runs (the parent then never materializes the app).
     ``serial_base`` is the serial index of the instance's *first*
     strategy run — strategy ``i`` commits at ``serial_base + i``,
-    matching the thread runner's (benchmark, instance, strategy)
-    enumeration exactly.
+    matching the inline (benchmark, instance, strategy) enumeration
+    exactly.
     """
 
     benchmark_id: str
@@ -324,8 +329,8 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
     Strategies run in serial order; each under a fresh
     ``scoped_metrics`` child (the shipped snapshot is exactly that
     run's delta) and, when traced, an attached per-strategy task
-    context, so spans/ledger events carry the same serial slots a
-    thread-runner worker would stamp.  Exceptions are relayed, not
+    context, so spans/ledger events carry the serial slots the parent
+    commits them at.  Exceptions are relayed, not
     raised — their metrics and the remaining strategies' fate are
     decided at the parent's serial commit.
     """
@@ -406,7 +411,7 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
 #: The public name of the pool-executable task entry point: the service
 #: tier (:mod:`repro.service`) submits these directly to a long-lived
 #: :class:`InstancePool` instead of going through
-#: :func:`run_scheduled_corpus_experiment`'s one-shot planner.
+#: :func:`run_corpus_experiment`'s one-shot planner.
 run_instance_task = _run_instance_task
 
 
@@ -744,16 +749,15 @@ class _Committer:
 
 
 # ----------------------------------------------------------------------
-# The scheduler
+# The engine
 # ----------------------------------------------------------------------
 
 
-def run_scheduled_corpus_experiment(
+def run_corpus_experiment(
     benchmarks: Optional[Iterable[Benchmark]] = None,
     config: Optional[ExperimentConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
     jobs: Optional[int] = 1,
-    store=None,
     store_spec: Optional[StoreSpec] = None,
     corpus_path: Optional[str] = None,
     include_debloat: bool = False,
@@ -761,7 +765,7 @@ def run_scheduled_corpus_experiment(
     collect: bool = True,
     cost_hints: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> Union[List[InstanceOutcome], int]:
-    """Run the corpus through the process-parallel instance scheduler.
+    """Run every configured strategy on every instance of the corpus.
 
     Args:
         benchmarks: an in-memory corpus (any iterable — consumed once).
@@ -771,11 +775,12 @@ def run_scheduled_corpus_experiment(
         progress: per-instance status-line callback, in serial order.
         jobs: worker *processes* (None/0: one per CPU; 1 runs inline —
             same enumeration, no pool).
-        store: a live predicate store, used by inline runs.
-        store_spec: the picklable store recipe worker processes open;
-            required to share a store at ``jobs != 1`` (a live handle
-            cannot cross a spawn).  The parent touches the store first
-            so the on-disk layout exists before workers race to it.
+        store_spec: the predicate store recipe; the inline run and
+            every worker process open their own handle from it.  The
+            parent touches the store first so the on-disk layout exists
+            before workers race to it.  A warm store changes
+            ``predicate_calls`` — equality with a storeless run holds
+            for cold or absent stores.
         corpus_path: a persisted corpus directory (from
             :func:`repro.workloads.corpus.save_corpus`) — planned from
             its manifest alone, apps streamed into workers by path;
@@ -790,9 +795,16 @@ def run_scheduled_corpus_experiment(
             :func:`load_cost_hints` — prior-run telemetry sharpening
             the longest-job-first order.
 
-    Returns outcomes in serial order — byte-identical (minus
-    ``real_seconds``) to ``run_corpus_experiment(..., jobs=1)`` — or
-    the count when ``collect=False``.
+    Graceful degradation: with ``config.keep_going``, an instance that
+    crashes (an unrecoverable oracle error, retry exhaustion, a bug in a
+    strategy) yields an error-marked outcome in its serial position and
+    the rest of the corpus completes; without it the first failure
+    propagates.
+
+    Returns outcomes in serial order — benchmarks, then instances, then
+    strategies, identical on
+    :func:`~repro.harness.experiments.outcome_signature` at any
+    ``jobs`` — or the count when ``collect=False``.
     """
     config = config or ExperimentConfig()
     if (benchmarks is None) == (corpus_path is None):
@@ -815,10 +827,10 @@ def run_scheduled_corpus_experiment(
 
     committer = _Committer(config, progress, on_outcome, collect)
     if jobs == 1:
-        _run_inline(tasks, config, store, store_spec, committer)
+        _run_inline(tasks, config, store_spec, committer)
     else:
         _run_pooled(
-            tasks, config, jobs, budget, store, store_spec, committer,
+            tasks, config, jobs, budget, store_spec, committer,
             cost_hints or {},
         )
     return committer.outcomes if collect else committer.count
@@ -827,21 +839,23 @@ def run_scheduled_corpus_experiment(
 def _run_inline(
     tasks: List[_Task],
     config: ExperimentConfig,
-    store,
     store_spec: Optional[StoreSpec],
     committer: _Committer,
 ) -> None:
-    """The ``jobs=1`` degenerate case: same enumeration, no processes.
-
-    Mirrors ``run_corpus_experiment``'s serial loop (shared probe pool,
-    no per-task trace contexts), with the scheduler's extras: manifest
-    tasks materialize on demand and drop after use, outcomes stream.
+    """The ``jobs=1`` case — the sequential runner: one store handle,
+    one probe pool shared across instances, no per-task trace contexts.
+    Manifest tasks materialize on demand and drop after use; outcomes
+    stream.
     """
-    opened = None
-    if store is None and store_spec is not None:
-        store = opened = store_spec.open()
-    probes = probe_pool(config, max_workers=probe_cap_for(config, 1))
-    try:
+    with ExitStack() as stack:
+        store = (
+            stack.enter_context(store_spec.open())
+            if store_spec is not None
+            else None
+        )
+        probes = probe_pool(config, max_workers=probe_cap_for(config, 1))
+        if probes is not None:
+            stack.callback(probes.shutdown, wait=True)
         for task in tasks:
             if task.benchmark is not None:
                 benchmark, instance = task.benchmark, task.instance
@@ -860,11 +874,6 @@ def _run_inline(
                         benchmark, instance, strategy, exc
                     )
                 committer.emit(outcome)
-    finally:
-        if probes is not None:
-            probes.shutdown(wait=True)
-        if opened is not None:
-            opened.close()
 
 
 def _spec_of(
@@ -900,23 +909,17 @@ def _run_pooled(
     config: ExperimentConfig,
     jobs: int,
     budget: Optional[WorkerBudget],
-    store,
     store_spec: Optional[StoreSpec],
     committer: _Committer,
     cost_hints: Dict[Tuple[str, str], float],
 ) -> None:
-    if store is not None and store_spec is None:
-        raise ValueError(
-            "a live store cannot cross process workers; pass store_spec "
-            "(the picklable recipe) to share a store at jobs != 1"
-        )
-    if store_spec is not None and store is None:
+    if store_spec is not None:
         # Materialize the on-disk layout before workers race to open it.
         store_spec.open().close()
 
     probe_workers = None
     if budget is not None and config.speculate > 1:
-        probe_workers = budget.probe_pool_cap(jobs, shared=False)
+        probe_workers = budget.probe_pool_cap(jobs)
 
     tracer = get_tracer()
     ctx = (

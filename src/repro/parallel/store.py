@@ -232,7 +232,7 @@ class PredicateStore:
         """The stored outcome for this oracle + sub-input, or None.
 
         Taken under the store lock: :meth:`record` mutates the entry
-        dict concurrently (instance-runner threads, probe commits), and
+        dict concurrently (instance-pool threads, probe commits), and
         an unlocked read is only safe by CPython-GIL accident — not on
         free-threaded builds.
         """

@@ -108,7 +108,7 @@ def generalized_binary_reduction(
     ) as run_span:
         width = 1
         if speculate > 1 and probe_executor is not None:
-            # Lazy import: repro.parallel pulls in the corpus runner,
+            # Lazy import: repro.parallel pulls in the corpus engine,
             # which imports the harness, which imports this module.
             from repro.parallel.speculate import speculation_allowed
 

@@ -216,7 +216,7 @@ def add_debloat_instances(
     """Append one debloat instance per benchmark (mutates, returns).
 
     The instance rides the same corpus plumbing as the reduction
-    scenario — runner fan-out, scheduler task specs, the predicate
+    scenario — corpus fan-out, scheduler task specs, the predicate
     store, report row-groups — distinguished by ``scenario`` and the
     ``"debloat"`` decompiler label.
     """

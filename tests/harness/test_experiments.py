@@ -12,11 +12,11 @@ from repro.harness import (
     render_lossy_comparison,
     render_statistics,
     render_timeline,
-    run_corpus_experiment,
     run_instance,
 )
 from repro.harness.report import by_strategy
 from repro.harness.timeline import reduction_factor_at
+from repro.parallel import run_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 

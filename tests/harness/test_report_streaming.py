@@ -5,17 +5,14 @@ import json
 
 import pytest
 
-from repro.harness.experiments import (
-    ExperimentConfig,
-    InstanceOutcome,
-    run_corpus_experiment,
-)
+from repro.harness.experiments import ExperimentConfig, InstanceOutcome
 from repro.harness.report import (
     ResultsWriter,
     StreamingReport,
     iter_results,
     report_from_results,
 )
+from repro.parallel import run_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 

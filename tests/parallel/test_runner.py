@@ -1,11 +1,25 @@
-"""Tests for the parallel corpus runner: determinism and cache reuse."""
+"""Tests for the corpus runner's run-level guarantees.
+
+:func:`repro.parallel.run_corpus_experiment` is the one corpus engine:
+inline at ``jobs=1``, worker processes otherwise.  These tests pin what
+a caller relies on whatever the job count — job-count normalisation,
+serial/pooled equality, predicate-store reuse, graceful degradation and
+per-run telemetry isolation.
+"""
 
 import dataclasses
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_corpus_experiment, run_instance
-from repro.parallel import PredicateStore, resolve_jobs
+import repro.parallel.scheduler as scheduler_module
+from repro.harness import ExperimentConfig, run_instance
+from repro.harness.experiments import outcome_signature
+from repro.parallel import (
+    PredicateStore,
+    StoreSpec,
+    resolve_jobs,
+    run_corpus_experiment,
+)
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
@@ -22,7 +36,7 @@ def config():
 
 
 def comparable(outcome):
-    """Everything except host-dependent wall time."""
+    """Everything except host wall time (same-process comparisons)."""
     fields = dataclasses.asdict(outcome)
     fields.pop("real_seconds")
     return fields
@@ -44,10 +58,11 @@ class TestResolveJobs:
 class TestSerialParallelEquality:
     def test_outcomes_identical_except_real_seconds(self, tiny_corpus, config):
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         assert len(serial) == len(parallel)
+        # Across processes only the residency counters may differ.
         for expected, actual in zip(serial, parallel):
-            assert comparable(expected) == comparable(actual)
+            assert outcome_signature(expected) == outcome_signature(actual)
 
     def test_parallel_progress_lines_in_serial_order(
         self, tiny_corpus, config
@@ -57,15 +72,29 @@ class TestSerialParallelEquality:
             tiny_corpus, config, progress=serial_lines.append
         )
         run_corpus_experiment(
-            tiny_corpus, config, progress=parallel_lines.append, jobs=4
+            tiny_corpus, config, progress=parallel_lines.append, jobs=2
         )
         assert serial_lines == parallel_lines
 
-    def test_jobs_kwarg_none_uses_all_cpus(self, tiny_corpus, config):
+    def test_jobs_kwarg_none_uses_all_cpus(
+        self, tiny_corpus, config, monkeypatch
+    ):
+        # Pretend a two-CPU host so the pool stays small.
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 2)
+        sizes = []
+        real_pool = scheduler_module.InstancePool
+
+        def recording_pool(max_workers, backend="process"):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers, backend=backend)
+
+        monkeypatch.setattr(scheduler_module, "InstancePool", recording_pool)
         outcomes = run_corpus_experiment(tiny_corpus, config, jobs=None)
-        assert len(outcomes) == len(
-            run_corpus_experiment(tiny_corpus, config)
-        )
+        assert sizes == [2]
+        assert [outcome_signature(o) for o in outcomes] == [
+            outcome_signature(o)
+            for o in run_corpus_experiment(tiny_corpus, config)
+        ]
 
 
 class TestPersistentStoreReuse:
@@ -92,53 +121,41 @@ class TestPersistentStoreReuse:
     def test_store_survives_process_boundary(
         self, tiny_corpus, config, tmp_path
     ):
-        benchmark = next(b for b in tiny_corpus if b.instances)
-        instance = benchmark.instances[0]
-        path = tmp_path / "store.jsonl"
-        with PredicateStore(path) as store:
-            run_instance(benchmark, instance, "jreduce", config, store)
-        with PredicateStore(path) as reloaded:  # simulates a new process
-            warm = run_instance(
-                benchmark, instance, "jreduce", config, reloaded
-            )
-        assert warm.predicate_calls == 0
-
-    def test_granularities_do_not_share_entries(
-        self, tiny_corpus, config, tmp_path
-    ):
-        # our-reducer (item granularity) must not poison jreduce (class
-        # granularity) even though both run on the same oracle.
-        benchmark = next(b for b in tiny_corpus if b.instances)
-        instance = benchmark.instances[0]
-        with PredicateStore(tmp_path / "store.jsonl") as store:
-            run_instance(benchmark, instance, "our-reducer", config, store)
-            jreduce = run_instance(
-                benchmark, instance, "jreduce", config, store
-            )
-        assert jreduce.predicate_calls > 0
+        spec = StoreSpec(path=str(tmp_path / "store"))
+        cold = run_corpus_experiment(
+            tiny_corpus, config, jobs=1, store_spec=spec
+        )
+        # The worker processes read what the parent process wrote.
+        warm = run_corpus_experiment(
+            tiny_corpus, config, jobs=2, store_spec=spec
+        )
+        assert any(o.predicate_calls > 0 for o in cold)
+        assert all(o.predicate_calls == 0 for o in warm)
+        assert all(o.simulated_seconds == 0.0 for o in warm)
 
     def test_parallel_run_with_shared_store(self, tiny_corpus, config,
                                             tmp_path):
-        with PredicateStore(tmp_path / "store.jsonl") as store:
-            first = run_corpus_experiment(
-                tiny_corpus, config, jobs=4, store=store
-            )
-            second = run_corpus_experiment(
-                tiny_corpus, config, jobs=4, store=store
-            )
+        spec = StoreSpec(path=str(tmp_path / "store"))
+        first = run_corpus_experiment(
+            tiny_corpus, config, jobs=2, store_spec=spec
+        )
+        second = run_corpus_experiment(
+            tiny_corpus, config, jobs=2, store_spec=spec
+        )
         assert all(o.predicate_calls == 0 for o in second)
         for cold, warm in zip(first, second):
             assert warm.final_bytes == cold.final_bytes
+            assert warm.final_classes == cold.final_classes
 
 
 class TestGracefulDegradation:
-    """A crashing worker must not take the bench down (with keep_going)."""
+    """A crashing strategy run must not take the bench down (with
+    keep_going).  The fault is injected in-process, so these run inline;
+    the pooled path is the scheduler tests' chaos crash lane."""
 
     @staticmethod
-    def _crash_one(target_benchmark, target_strategy):
-        import repro.parallel.runner as runner_module
-
-        real_run_instance = runner_module.run_instance
+    def _crash_one(monkeypatch, target_benchmark, target_strategy):
+        real_run_instance = scheduler_module.run_instance
 
         def flaky_run_instance(
             benchmark, instance, strategy, config, store, **kwargs
@@ -152,25 +169,19 @@ class TestGracefulDegradation:
                 benchmark, instance, strategy, config, store, **kwargs
             )
 
-        return flaky_run_instance
+        monkeypatch.setattr(
+            scheduler_module, "run_instance", flaky_run_instance
+        )
 
     def test_injected_worker_exception_degrades_in_place(
         self, tiny_corpus, monkeypatch
     ):
-        import repro.parallel.runner as runner_module
-
         target = tiny_corpus[0].benchmark_id
-        monkeypatch.setattr(
-            runner_module,
-            "run_instance",
-            self._crash_one(target, "jreduce"),
-        )
+        self._crash_one(monkeypatch, target, "jreduce")
         config = ExperimentConfig(
             strategies=("our-reducer", "jreduce"), keep_going=True
         )
-        outcomes = runner_module.run_parallel_corpus_experiment(
-            tiny_corpus, config, jobs=4
-        )
+        outcomes = run_corpus_experiment(tiny_corpus, config)
         expected_count = sum(len(b.instances) * 2 for b in tiny_corpus)
         assert len(outcomes) == expected_count
         # Error outcomes sit exactly where the serial order puts them.
@@ -181,6 +192,7 @@ class TestGracefulDegradation:
             )
             assert (outcome.status == "error") == serial_slot, i
         errored = [o for o in outcomes if o.status == "error"]
+        assert errored
         assert all("worker exploded" in o.error for o in errored)
         # The rest of the corpus completed normally.
         assert all(
@@ -192,37 +204,35 @@ class TestGracefulDegradation:
     def test_without_keep_going_the_exception_propagates(
         self, tiny_corpus, monkeypatch
     ):
-        import repro.parallel.runner as runner_module
-
-        monkeypatch.setattr(
-            runner_module,
-            "run_instance",
-            self._crash_one(tiny_corpus[0].benchmark_id, "jreduce"),
+        self._crash_one(
+            monkeypatch, tiny_corpus[0].benchmark_id, "jreduce"
         )
         config = ExperimentConfig(strategies=("our-reducer", "jreduce"))
         with pytest.raises(RuntimeError, match="worker exploded"):
-            runner_module.run_parallel_corpus_experiment(
-                tiny_corpus, config, jobs=4
-            )
+            run_corpus_experiment(tiny_corpus, config)
 
 
 class TestConcurrentTelemetryIsolation:
     def test_parallel_metrics_match_serial(self, tiny_corpus, config):
         """Per-run metrics must not leak across concurrent reductions."""
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=8)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
-            assert expected.metrics == actual.metrics
+            assert (
+                outcome_signature(expected)["metrics"]
+                == outcome_signature(actual)["metrics"]
+            )
             assert (
                 actual.metrics.get("predicate.calls", 0)
                 == actual.predicate_calls
             )
 
     def test_scoped_attribution_under_jobs_and_speculation(self, tiny_corpus):
-        """``scoped_metrics()`` attribution with --jobs 4 --speculate 4.
+        """``scoped_metrics()`` attribution with two corpus workers and
+        ``speculate=4``.
 
-        Two layers of concurrency at once: four corpus workers, each
-        fanning probe batches onto a shared speculation pool.  Batch
+        Two layers of concurrency at once: corpus worker processes, each
+        fanning probe batches onto its own speculation pool.  Batch
         results commit on the issuing worker's thread, so each
         instance's scoped registry must see exactly its own probes —
         comparing against a fully serial run catches any
@@ -232,10 +242,10 @@ class TestConcurrentTelemetryIsolation:
             strategies=("our-reducer",), speculate=1
         )
         spec_config = ExperimentConfig(
-            strategies=("our-reducer",), speculate=4
+            strategies=("our-reducer",), speculate=4, worker_budget=4
         )
         serial = run_corpus_experiment(tiny_corpus, serial_config)
-        concurrent = run_corpus_experiment(tiny_corpus, spec_config, jobs=4)
+        concurrent = run_corpus_experiment(tiny_corpus, spec_config, jobs=2)
         assert len(serial) == len(concurrent)
         for expected, actual in zip(serial, concurrent):
             assert actual.benchmark_id == expected.benchmark_id

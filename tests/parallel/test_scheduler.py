@@ -1,13 +1,13 @@
-"""Tests for the process-parallel corpus scheduler.
+"""Tests for the corpus engine, inline and across worker processes.
 
 The load-bearing property is *serial-order commit determinism*: however
 instances fan out across worker processes (and however the
 longest-job-first dispatcher reorders submission), the committed
 outcome stream must match a ``jobs=1`` run on every semantic field.
 ``outcome_signature`` is the comparison key — everything except
-``real_seconds`` and the placement-dependent store residency counters,
-which legitimately differ when shard LRU state lives in different
-processes.
+``real_seconds`` and the placement-dependent residency counters, which
+legitimately differ when shard LRU state or a reduction memo lives in
+different processes.
 """
 
 import dataclasses
@@ -19,13 +19,13 @@ from repro.harness.experiments import (
     ExperimentConfig,
     outcome_signature,
     probe_cap_for,
-    run_corpus_experiment,
+    run_instance,
 )
 from repro.parallel.scheduler import (
     StoreSpec,
     WorkerBudget,
     load_cost_hints,
-    run_scheduled_corpus_experiment,
+    run_corpus_experiment,
 )
 from repro.resilience import FaultPlan, OracleCrash
 from repro.workloads.corpus import CorpusConfig, build_corpus, save_corpus
@@ -55,7 +55,15 @@ def config():
 
 @pytest.fixture(scope="module")
 def serial_reference(corpus, config):
-    return run_corpus_experiment(corpus, config)
+    """The sequential runner spelled out as a plain ``run_instance``
+    loop — the engine's own ``jobs=1`` path is under test, not the
+    reference."""
+    return [
+        run_instance(benchmark, instance, strategy, config)
+        for benchmark in corpus
+        for instance in benchmark.instances
+        for strategy in config.strategies
+    ]
 
 
 def signatures(outcomes):
@@ -88,18 +96,19 @@ class TestWorkerBudget:
         assert budget.corpus_jobs(0) == 1
 
     def test_probe_pool_cap_shared(self):
-        # One pool shared by all corpus workers: the whole leftover.
-        assert WorkerBudget(8).probe_pool_cap(2, shared=True) == 6
+        # The inline run's one pool, shared by every instance: the
+        # whole leftover.
+        assert WorkerBudget(8).probe_pool_cap(1) == 7
 
     def test_probe_pool_cap_divided(self):
         # Per-worker pools: leftover splits across corpus workers.
-        assert WorkerBudget(8).probe_pool_cap(2, shared=False) == 3
+        assert WorkerBudget(8).probe_pool_cap(2) == 3
 
     def test_probe_pool_cap_never_below_one(self):
         # A pool that cannot exist would change semantics; the budget
         # only sizes.
-        assert WorkerBudget(2).probe_pool_cap(4, shared=False) == 1
-        assert WorkerBudget(1).probe_pool_cap(1, shared=True) == 1
+        assert WorkerBudget(2).probe_pool_cap(4) == 1
+        assert WorkerBudget(1).probe_pool_cap(1) == 1
 
 
 class TestOversubscriptionRegression:
@@ -112,25 +121,23 @@ class TestOversubscriptionRegression:
     def test_probe_cap_divides_for_process_scheduler(self):
         config = ExperimentConfig(worker_budget=6, speculate=4)
         # 2 corpus workers take 2 slots; 4 left, 2 per private pool.
-        assert probe_cap_for(config, 2, shared=False) == 2
-        # The thread runner's single shared pool gets the whole rest.
-        assert probe_cap_for(config, 2, shared=True) == 4
+        assert probe_cap_for(config, 2) == 2
 
     def test_requested_jobs_clamped_by_budget(self, corpus, serial_reference):
         config = ExperimentConfig(
             strategies=("our-reducer", "jreduce"), worker_budget=2
         )
-        outcomes = run_scheduled_corpus_experiment(
+        outcomes = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=8
         )
         assert signatures(outcomes) == signatures(serial_reference)
 
 
 class TestSerialProcessEquality:
-    def test_inline_matches_thread_runner(
+    def test_inline_matches_plain_loop(
         self, corpus, config, serial_reference
     ):
-        inline = run_scheduled_corpus_experiment(
+        inline = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=1
         )
         assert [strict(o) for o in inline] == [
@@ -138,7 +145,7 @@ class TestSerialProcessEquality:
         ]
 
     def test_pooled_matches_serial(self, corpus, config, serial_reference):
-        pooled = run_scheduled_corpus_experiment(
+        pooled = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
         assert signatures(pooled) == signatures(serial_reference)
@@ -146,7 +153,7 @@ class TestSerialProcessEquality:
     def test_progress_lines_commit_in_serial_order(self, corpus, config):
         serial_lines, pooled_lines = [], []
         run_corpus_experiment(corpus, config, progress=serial_lines.append)
-        run_scheduled_corpus_experiment(
+        run_corpus_experiment(
             benchmarks=corpus,
             config=config,
             jobs=2,
@@ -158,7 +165,7 @@ class TestSerialProcessEquality:
         self, corpus, config, serial_reference
     ):
         streamed = []
-        count = run_scheduled_corpus_experiment(
+        count = run_corpus_experiment(
             benchmarks=corpus,
             config=config,
             jobs=2,
@@ -170,9 +177,9 @@ class TestSerialProcessEquality:
 
     def test_requires_exactly_one_corpus_source(self, corpus, config):
         with pytest.raises(ValueError):
-            run_scheduled_corpus_experiment(config=config)
+            run_corpus_experiment(config=config)
         with pytest.raises(ValueError):
-            run_scheduled_corpus_experiment(
+            run_corpus_experiment(
                 benchmarks=corpus, corpus_path="/nope", config=config
             )
 
@@ -186,7 +193,7 @@ class TestChaosLane:
             keep_going=True,
         )
         serial = run_corpus_experiment(corpus, config)
-        pooled = run_scheduled_corpus_experiment(
+        pooled = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
         assert signatures(pooled) == signatures(serial)
@@ -197,7 +204,7 @@ class TestChaosLane:
             chaos=FaultPlan(kind="crash", rate=1.0, seed=3),
         )
         with pytest.raises(OracleCrash):
-            run_scheduled_corpus_experiment(
+            run_corpus_experiment(
                 benchmarks=corpus, config=config, jobs=2
             )
 
@@ -208,7 +215,7 @@ class TestChaosLane:
             keep_going=True,
         )
         serial = run_corpus_experiment(corpus, config)
-        pooled = run_scheduled_corpus_experiment(
+        pooled = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
         assert signatures(pooled) == signatures(serial)
@@ -218,29 +225,44 @@ class TestChaosLane:
 class TestWarmStoreLane:
     def test_workers_share_one_warm_store(self, corpus, config, tmp_path):
         spec = StoreSpec(path=str(tmp_path / "store"))
-        run_scheduled_corpus_experiment(
+        cold = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=1, store_spec=spec
         )
-        warm_serial = run_scheduled_corpus_experiment(
+        warm_serial = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=1, store_spec=spec
         )
-        warm_pooled = run_scheduled_corpus_experiment(
+        # The worker processes read what the parent process wrote.
+        warm_pooled = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2, store_spec=spec
         )
+        assert any(o.predicate_calls > 0 for o in cold)
         assert signatures(warm_pooled) == signatures(warm_serial)
         # Every probe answered from the shared store: zero fresh calls.
-        assert all(o.predicate_calls == 0 for o in warm_pooled)
+        for warm in (warm_serial, warm_pooled):
+            assert all(o.predicate_calls == 0 for o in warm)
+            assert all(o.simulated_seconds == 0.0 for o in warm)
+        # The reduction itself is unchanged — only the cost vanishes.
+        for before, after in zip(cold, warm_pooled):
+            assert after.final_bytes == before.final_bytes
+            assert after.final_classes == before.final_classes
 
-    def test_live_store_needs_spec_for_worker_processes(
-        self, corpus, config, tmp_path
-    ):
-        from repro.parallel import open_store
-
-        with open_store(str(tmp_path / "live")) as store:
-            with pytest.raises(ValueError):
-                run_scheduled_corpus_experiment(
-                    benchmarks=corpus, config=config, jobs=2, store=store
-                )
+    def test_granularities_do_not_share_entries(self, corpus, tmp_path):
+        # our-reducer (item granularity) must not poison jreduce (class
+        # granularity) even though both run on the same oracle.
+        spec = StoreSpec(path=str(tmp_path / "store"))
+        run_corpus_experiment(
+            benchmarks=corpus,
+            config=ExperimentConfig(strategies=("our-reducer",)),
+            jobs=2,
+            store_spec=spec,
+        )
+        jreduce = run_corpus_experiment(
+            benchmarks=corpus,
+            config=ExperimentConfig(strategies=("jreduce",)),
+            jobs=1,
+            store_spec=spec,
+        )
+        assert all(o.predicate_calls > 0 for o in jreduce)
 
 
 class TestSpeculateBudgetLane:
@@ -251,10 +273,28 @@ class TestSpeculateBudgetLane:
             worker_budget=3,
         )
         serial = run_corpus_experiment(corpus, config)
-        pooled = run_scheduled_corpus_experiment(
+        pooled = run_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
         assert signatures(pooled) == signatures(serial)
+
+
+class TestProcessProbeBackendSignature:
+    def test_repeat_runs_agree_on_signature(self):
+        # Each process-backend probe worker keeps its own reduction
+        # memo, so memo hit/miss counts depend on which worker served
+        # which probe; the signature must not.
+        corpus = build_corpus(
+            dataclasses.replace(CorpusConfig.small(), num_benchmarks=3)
+        )
+        config = ExperimentConfig(
+            strategies=("our-reducer",),
+            speculate=2,
+            probe_backend="process",
+        )
+        first = run_corpus_experiment(corpus, config)
+        second = run_corpus_experiment(corpus, config)
+        assert signatures(first) == signatures(second)
 
 
 class TestManifestPlanning:
@@ -265,10 +305,10 @@ class TestManifestPlanning:
 
         reference_corpus = build_corpus(corpus_config)
         add_debloat_instances(reference_corpus)
-        reference = run_scheduled_corpus_experiment(
+        reference = run_corpus_experiment(
             benchmarks=reference_corpus, config=config, jobs=1
         )
-        planned = run_scheduled_corpus_experiment(
+        planned = run_corpus_experiment(
             corpus_path=str(tmp_path / "corpus"),
             config=config,
             jobs=2,
@@ -311,7 +351,7 @@ class TestCostHints:
                 (b, inst) for b in corpus for inst in b.instances
             )
         }
-        pooled = run_scheduled_corpus_experiment(
+        pooled = run_corpus_experiment(
             benchmarks=corpus,
             config=config,
             jobs=2,

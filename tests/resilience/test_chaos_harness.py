@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_corpus_experiment
+from repro.harness import ExperimentConfig
+from repro.parallel import run_corpus_experiment
 from repro.resilience import FaultPlan, OracleCrash
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
@@ -64,7 +65,7 @@ class TestChaosEquivalence:
             chaos=FaultPlan(kind="flaky", rate=0.2, seed=7),
         )
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 
@@ -128,7 +129,7 @@ class TestCrashDegradation:
             strategies=STRATEGIES, keep_going=True, chaos=self.CRASH
         )
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 

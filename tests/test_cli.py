@@ -213,7 +213,7 @@ class TestBenchParallel:
         self, tiny_corpus, capsys
     ):
         serial = self._outcomes(capsys)
-        parallel = self._outcomes(capsys, "--jobs", "4")
+        parallel = self._outcomes(capsys, "--corpus-jobs", "2")
         assert len(serial) == len(parallel)
         for expected, actual in zip(serial, parallel):
             expected.pop("real_seconds")
@@ -224,14 +224,18 @@ class TestBenchParallel:
         self, tiny_corpus, tmp_path, capsys
     ):
         store_file = str(tmp_path / "store.jsonl")
-        cold = self._outcomes(capsys, "--jobs", "2", "--store", store_file)
+        cold = self._outcomes(
+            capsys, "--corpus-jobs", "2", "--store", store_file
+        )
         assert any(o["predicate_calls"] > 0 for o in cold)
-        warm = self._outcomes(capsys, "--jobs", "2", "--store", store_file)
+        warm = self._outcomes(
+            capsys, "--corpus-jobs", "2", "--store", store_file
+        )
         assert all(o["predicate_calls"] == 0 for o in warm)
 
     def test_negative_jobs_rejected(self, capsys):
-        assert main(["bench", "--jobs", "-2"]) == 1
-        assert "--jobs" in capsys.readouterr().err
+        assert main(["bench", "--corpus-jobs", "-2"]) == 1
+        assert "--corpus-jobs" in capsys.readouterr().err
 
 
 class TestProbeBackendCli:
@@ -573,7 +577,8 @@ class TestBenchShardedTrace:
         trace_file = str(tmp_path / "bench.jsonl")
         assert main(
             ["bench", "--profile", "small", "--json",
-             "--jobs", "2", "--speculate", "2", "--trace", trace_file]
+             "--corpus-jobs", "2", "--speculate", "2",
+             "--trace", trace_file]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         shards = globlib.glob(str(tmp_path / "bench.shard-*.jsonl"))
@@ -607,7 +612,8 @@ class TestBenchShardedTrace:
         trace_file = str(tmp_path / "bench.jsonl")
         assert main(
             ["bench", "--profile", "small",
-             "--jobs", "2", "--speculate", "2", "--trace", trace_file]
+             "--corpus-jobs", "2", "--speculate", "2",
+             "--trace", trace_file]
         ) == 0
         from repro.observability import load_traces
 
@@ -669,13 +675,23 @@ class TestCorpusScheduler:
             o["scenario"] == "reduction" for o in payload["outcomes"]
         )
 
-    def test_corpus_dir_requires_corpus_jobs(self, capsys):
-        assert main(["bench", "--corpus-dir", "/nope"]) == 1
-        assert "--corpus-jobs" in capsys.readouterr().err
+    def test_corpus_dir_runs_at_default_job_count(self, tmp_path, capsys):
+        corpus_dir = str(tmp_path / "corpus")
+        assert main([
+            "corpus", "generate", corpus_dir,
+            "--profile", "small", "--num-benchmarks", "1",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--corpus-dir", corpus_dir]) == 0
+        out = capsys.readouterr().out
+        assert "scenario: reduction" in out
+        assert "scenario: debloat" not in out
 
-    def test_debloat_requires_corpus_jobs(self, capsys):
-        assert main(["bench", "--debloat"]) == 1
-        assert "--corpus-jobs" in capsys.readouterr().err
+    def test_debloat_runs_at_default_job_count(self, capsys):
+        assert main(["bench", "--debloat", "--num-benchmarks", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario: reduction" in out
+        assert "scenario: debloat" in out
 
     def test_missing_manifest_reported(self, tmp_path, capsys):
         assert main([
@@ -697,12 +713,38 @@ class TestCorpusScheduler:
                      "--worker-budget", "0"]) == 1
         assert "--worker-budget" in capsys.readouterr().err
 
-    def test_store_tenant_incompatible(self, tmp_path, capsys):
-        assert main([
-            "bench", "--corpus-jobs", "1",
-            "--store", str(tmp_path / "s"), "--store-tenant", "t",
-        ]) == 1
-        assert "--store-tenant" in capsys.readouterr().err
+    def test_store_tenant_under_corpus_jobs(self, tmp_path, capsys):
+        import glob as globlib
+
+        from repro.harness.experiments import (
+            InstanceOutcome,
+            outcome_signature,
+        )
+
+        def tenanted_run(jobs):
+            store = str(tmp_path / f"store-{jobs}")
+            assert main([
+                "bench", "--corpus-jobs", jobs, "--num-benchmarks", "1",
+                "--store", store, "--store-tenant", "t", "--json",
+            ]) == 0
+            outcomes = json.loads(capsys.readouterr().out)["outcomes"]
+            return store, [
+                outcome_signature(InstanceOutcome(**o)) for o in outcomes
+            ]
+
+        store, pooled = tenanted_run("2")
+        _, inline = tenanted_run("1")
+        assert pooled == inline
+        # Every entry the worker processes wrote sits in the tenant's
+        # namespace.
+        fingerprints = [
+            json.loads(line)["f"]
+            for shard in globlib.glob(f"{store}/shard-*.jsonl")
+            for line in open(shard, encoding="utf-8")
+            if line.strip()
+        ]
+        assert fingerprints
+        assert all(fp.startswith("tenant=t:") for fp in fingerprints)
 
 
 class TestTraceSummarizeInstances:

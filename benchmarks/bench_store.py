@@ -1,26 +1,28 @@
 """Predicate-store cache-tier benchmark: startup, throughput, warm runs.
 
-Emits ``BENCH_8.json``.  PR 3's single-file v1 store re-parses its
-*entire* history on every open — O(total history) before the first
-probe can be answered.  The sharded tier opens by reading a one-line
-manifest and faults shards on demand, so startup is proportional to
-the shards a run actually touches.  This bench measures that, plus the
+Emits ``BENCH_8.json``.  A store whose history sits in one file must
+re-parse *all* of it before the first probe can be answered — O(total
+history), the cost of the old v1 single-file store and of a one-shard
+store alike.  The sharded tier opens by reading a one-line manifest
+and faults shards on demand, so startup is proportional to the shards
+a run actually touches.  This bench measures that, plus the
 operational properties the cache tier promises:
 
-- **startup** — build identical v1 and sharded stores of
-  ``--entries`` outcomes; time cold-open-plus-first-lookup for each.
-  The headline is ``startup_speedup`` (v1 over sharded), gated in CI.
-  The ratio is machine-independent: both sides parse the same JSONL,
-  the sharded side just parses ~1/``shards`` of it.
+- **startup** — build identical one-shard and ``--shards``-shard
+  stores of ``--entries`` outcomes; time cold-open-plus-first-lookup
+  for each.  The headline is ``startup_speedup`` (one shard over
+  ``--shards``), gated in CI.  The ratio is machine-independent: both
+  sides parse the same JSONL, the sharded side just parses
+  ~1/``shards`` of it.
 - **throughput** — resident-shard lookup and append-record ops/sec on
-  the sharded backend (the hot path of a warm corpus run).
+  the store (the hot path of a warm corpus run).
 - **warm corpus** — a 2-app corpus run twice against one sharded
   store: the second run must answer every probe from the cache (zero
   fresh predicate calls) and the ``store.hits`` counter must show it.
-- **differential** — the same corpus, cold, through v1, sharded, and
-  sqlite backends: final bytes/classes, predicate calls, simulated
-  seconds, and timelines must be identical (the backend is invisible
-  to reduction results).
+- **differential** — the same corpus, cold, with no store and with the
+  sharded store: final bytes/classes, predicate calls, simulated
+  seconds, and timelines must be identical (the store is invisible to
+  reduction results).
 
 Run it directly (pytest does not collect it — ``testpaths`` excludes
 ``benchmarks/`` and everything here is ``__main__``-guarded)::
@@ -30,8 +32,9 @@ Run it directly (pytest does not collect it — ``testpaths`` excludes
 CI regression gate: ``--check BENCH_8.json`` re-runs and exits
 non-zero when ``startup_speedup`` falls below ``--min-startup-speedup``
 (default 3x), warm-run probes are not zero, the cross-run hit counter
-is zero, lookup throughput falls below ``--min-lookup-ops``, or any
-backend diverges on reduction results.
+is zero, lookup throughput falls below ``--min-lookup-ops``, or the
+store-backed run diverges from the store-less one on reduction
+results.
 """
 
 from __future__ import annotations
@@ -45,11 +48,7 @@ from typing import Dict, List
 
 from repro.harness import ExperimentConfig, run_instance
 from repro.observability.metrics import MetricsRegistry, scoped_metrics
-from repro.parallel import (
-    PredicateStore,
-    ShardedPredicateStore,
-    open_store,
-)
+from repro.parallel import ShardedPredicateStore, open_store
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 SEED = 2021
@@ -64,20 +63,18 @@ def _sub_input(i: int):
 
 
 def bench_startup(root: str, entries: int, shards: int) -> Dict:
-    """Cold open + first lookup: v1 full scan vs sharded lazy fault."""
-    v1_path = f"{root}/startup-v1.jsonl"
+    """Cold open + first lookup: one-shard full scan vs lazy fault."""
+    single_path = f"{root}/startup-single-shard"
     sharded_path = f"{root}/startup-sharded"
-    with PredicateStore(v1_path) as v1:
-        for i in range(entries):
-            v1.record(_fingerprint(i), _sub_input(i), i % 2 == 0)
-    with ShardedPredicateStore(sharded_path, shards=shards) as tier:
-        for i in range(entries):
-            tier.record(_fingerprint(i), _sub_input(i), i % 2 == 0)
+    for path, count in ((single_path, 1), (sharded_path, shards)):
+        with ShardedPredicateStore(path, shards=count) as tier:
+            for i in range(entries):
+                tier.record(_fingerprint(i), _sub_input(i), i % 2 == 0)
 
     start = time.perf_counter()
-    with PredicateStore(v1_path) as store:
+    with ShardedPredicateStore(single_path) as store:
         assert store.lookup(_fingerprint(0), _sub_input(0)) is True
-    v1_open = time.perf_counter() - start
+    single_open = time.perf_counter() - start
 
     start = time.perf_counter()
     with ShardedPredicateStore(sharded_path) as store:
@@ -88,10 +85,10 @@ def bench_startup(root: str, entries: int, shards: int) -> Dict:
     return {
         "entries": entries,
         "shards": shards,
-        "v1_open_seconds": round(v1_open, 4),
+        "single_shard_open_seconds": round(single_open, 4),
         "sharded_open_seconds": round(sharded_open, 4),
         "sharded_shard_loads": shard_loads,
-        "startup_speedup": round(v1_open / sharded_open, 2),
+        "startup_speedup": round(single_open / sharded_open, 2),
     }
 
 
@@ -146,23 +143,19 @@ def bench_warm_and_differential(
     pairs = [(b, i) for b in corpus for i in b.instances]
     config = ExperimentConfig(strategies=("our-reducer",))
 
-    results = {}
-    for backend in ("v1", "sharded", "sqlite"):
-        path = f"{root}/corpus-{backend}"
-        with open_store(path, backend=backend) as store:
-            results[backend] = _run_corpus(pairs, config, store)
+    baseline = _run_corpus(pairs, config, None)
+    path = f"{root}/corpus-sharded"
+    with open_store(path) as store:
+        cold = _run_corpus(pairs, config, store)
+    identical = [_comparable(o) for o in cold] == [
+        _comparable(o) for o in baseline
+    ]
 
-    baseline = [_comparable(o) for o in results["v1"]]
-    identical = all(
-        [_comparable(o) for o in results[backend]] == baseline
-        for backend in ("sharded", "sqlite")
-    )
-
-    # Warm rerun against the sharded store, reopened cold, counters
-    # captured through a scoped registry exactly like a --trace run.
+    # Warm rerun against the store, reopened cold, counters captured
+    # through a scoped registry exactly like a --trace run.
     registry = MetricsRegistry()
     with scoped_metrics(registry):
-        with open_store(f"{root}/corpus-sharded", backend="sharded") as store:
+        with open_store(path) as store:
             warm = _run_corpus(pairs, config, store)
     counters = registry.counter_values()
     warm_calls = sum(o.predicate_calls for o in warm)
@@ -171,9 +164,7 @@ def bench_warm_and_differential(
         "apps": [b.benchmark_id for b in corpus],
         "instances": len(pairs),
         "identical_results": identical,
-        "cold_predicate_calls": sum(
-            o.predicate_calls for o in results["sharded"]
-        ),
+        "cold_predicate_calls": sum(o.predicate_calls for o in cold),
         "warm_predicate_calls": warm_calls,
         "warm_zero_fresh_probes": warm_calls == 0,
         "warm_store_hits": counters.get("store.hits", 0),
@@ -200,7 +191,10 @@ def check_payload(
         )
     corpus = payload["corpus"]
     if not corpus["identical_results"]:
-        failures.append("store backends diverged on reduction results")
+        failures.append(
+            "the store-backed run diverged from the store-less run on "
+            "reduction results"
+        )
     if not corpus["warm_zero_fresh_probes"]:
         failures.append(
             f"warm rerun made {corpus['warm_predicate_calls']} fresh "
@@ -243,7 +237,7 @@ def main(argv=None) -> int:
     corpus = payload["corpus"]
     print(
         f"startup speedup   : {startup['startup_speedup']}x "
-        f"({startup['v1_open_seconds']}s full scan -> "
+        f"({startup['single_shard_open_seconds']}s full scan -> "
         f"{startup['sharded_open_seconds']}s, "
         f"{startup['sharded_shard_loads']} of {startup['shards']} "
         "shards faulted)"
@@ -261,7 +255,7 @@ def main(argv=None) -> int:
     )
     print(
         f"identical results : {corpus['identical_results']} "
-        "(v1 == sharded == sqlite)"
+        "(no store == sharded store)"
     )
 
     if args.check is not None:

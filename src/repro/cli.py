@@ -23,13 +23,11 @@ Subcommands:
   scenario; either prints a streaming report with one row-group per
   scenario (no O(corpus) memory in the parent).
   ``--num-benchmarks N`` overrides the profile's corpus size.
-  The store is the sharded cache tier by default (``--store-backend
-  sharded``: lazily-loaded hash-selected shard files with compaction;
-  a v1 single-file store is migrated in place) with ``--store-shards
-  N`` / ``--store-max-entries M`` sizing knobs, ``--store-backend
-  sqlite`` for a WAL database, ``--store-backend v1`` for the legacy
-  single file, and ``--store-tenant NAME`` to namespace many tenants
-  into one shared warm store.
+  The store is the sharded cache tier (lazily-loaded hash-selected
+  shard files with compaction; a v1 single-file store is migrated in
+  place) with ``--store-shards N`` / ``--store-max-entries M`` sizing
+  knobs (shared with ``serve``), and ``--store-tenant NAME`` to
+  namespace many tenants into one shared warm store.
   Resilience flags: ``--budget-calls`` / ``--budget-seconds`` cap each
   run and yield anytime ``"partial"`` outcomes, ``--retries`` recovers
   transient oracle failures, ``--deadline-seconds`` bounds each call,
@@ -93,6 +91,34 @@ from contextlib import ExitStack
 from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_store_arguments(cmd: argparse.ArgumentParser) -> None:
+    """The predicate-store flags ``bench`` and ``serve`` share."""
+    cmd.add_argument(
+        "--store",
+        metavar="PATH",
+        help="persistent predicate store directory (hash-selected shard "
+        "files); warm entries skip fresh predicate invocations.  A v1 "
+        "single-file store at PATH is migrated into it on first open",
+    )
+    cmd.add_argument(
+        "--store-shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shard files for a new store (default 16; an existing "
+        "store keeps its manifest's count)",
+    )
+    cmd.add_argument(
+        "--store-max-entries",
+        type=int,
+        default=None,
+        metavar="M",
+        help="bound each store handle's in-memory index to ~M entries; "
+        "least-recently-used shards are evicted and re-faulted from "
+        "disk on demand (default: unbounded)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,39 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "row-group (same Problem/predicate interface, observed-coverage "
         "predicate)",
     )
-    bench.add_argument(
-        "--store",
-        metavar="PATH",
-        help="persistent predicate cache; warm entries skip fresh "
-        "predicate invocations.  The default sharded backend keeps a "
-        "directory of hash-selected shard files (a v1 single-file "
-        "store at PATH is migrated automatically)",
-    )
-    bench.add_argument(
-        "--store-backend",
-        choices=("sharded", "sqlite", "v1"),
-        default="sharded",
-        help="store implementation: 'sharded' lazily-loaded JSONL "
-        "shards (default), 'sqlite' WAL database, 'v1' legacy "
-        "single-file JSONL",
-    )
-    bench.add_argument(
-        "--store-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard files for a new sharded store (default 16; an "
-        "existing store keeps its manifest's count)",
-    )
-    bench.add_argument(
-        "--store-max-entries",
-        type=int,
-        default=None,
-        metavar="M",
-        help="bound the store's in-memory index to ~M entries; "
-        "least-recently-used shards are evicted and re-faulted from "
-        "disk on demand (default: unbounded)",
-    )
+    _add_store_arguments(bench)
     bench.add_argument(
         "--store-tenant",
         default="",
@@ -526,22 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("process", "thread"), default="process",
         help="instance pool backend (default process)",
     )
-    serve_cmd.add_argument(
-        "--store", metavar="DIR",
-        help="shared warm predicate store, namespaced per tenant",
-    )
-    serve_cmd.add_argument(
-        "--store-backend", choices=("plain", "sharded"), default="sharded",
-        help="predicate store backend (default sharded)",
-    )
-    serve_cmd.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help="shard count for --store-backend sharded",
-    )
-    serve_cmd.add_argument(
-        "--store-max-entries", type=int, default=None, metavar="N",
-        help="in-memory cache-tier bound per store handle",
-    )
+    _add_store_arguments(serve_cmd)
     serve_cmd.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
         help="per-tenant queue bound before 429 backpressure "
@@ -692,7 +671,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             results_path=args.results,
             corpus_dir=args.corpus_dir,
             debloat=args.debloat,
-            store_backend=args.store_backend,
             store_shards=args.store_shards,
             store_max_entries=args.store_max_entries,
             store_tenant=args.store_tenant,
@@ -993,6 +971,33 @@ def _reduce(
     return 0
 
 
+def _store_spec(
+    path: Optional[str], shards: Optional[int], max_entries: Optional[int]
+):
+    """The :class:`~repro.parallel.StoreSpec` for ``--store PATH`` (None
+    without one), opened and closed once so a bad path, manifest or
+    sizing fails fast, before any corpus work or server start; the
+    corpus engine and the server reopen the store from the spec.
+
+    Raises:
+        ValueError: the store cannot be opened (one-line message).
+    """
+    from repro.parallel import DEFAULT_SHARDS, StoreSpec
+
+    if not path:
+        return None
+    spec = StoreSpec(
+        path=path,
+        shards=shards if shards is not None else DEFAULT_SHARDS,
+        max_entries=max_entries,
+    )
+    try:
+        spec.open().close()
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot open store {path}: {exc}") from exc
+    return spec
+
+
 def _bench(
     profile: str,
     trace_path: Optional[str] = None,
@@ -1004,7 +1009,6 @@ def _bench(
     results_path: Optional[str] = None,
     corpus_dir: Optional[str] = None,
     debloat: bool = False,
-    store_backend: str = "sharded",
     store_shards: Optional[int] = None,
     store_max_entries: Optional[int] = None,
     store_tenant: str = "",
@@ -1040,7 +1044,7 @@ def _bench(
         tracing_session,
         write_trace,
     )
-    from repro.parallel import DEFAULT_SHARDS, StoreSpec, run_corpus_experiment
+    from repro.parallel import run_corpus_experiment
     from repro.reduction import ReductionError
     from repro.resilience import Budget, OracleCrash, TransientOracleError
     from repro.workloads.corpus import (
@@ -1096,34 +1100,17 @@ def _bench(
               "recorded into the trace)", file=sys.stderr)
         return 1
     try:
-        # Validate the budget/deadline values once, up front, instead of
-        # per-instance deep inside the run.
+        # Validate the budget/deadline values and the store once, up
+        # front, instead of per-instance deep inside the run.
         Budget(max_calls=budget_calls, max_seconds=budget_seconds)
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(
                 f"--deadline-seconds must be > 0, got {deadline_seconds}"
             )
+        store_spec = _store_spec(store_path, store_shards, store_max_entries)
     except ValueError as exc:
         print(f"jlreduce: {exc}", file=sys.stderr)
         return 1
-    store_spec = None
-    if store_path:
-        store_spec = StoreSpec(
-            path=store_path,
-            backend=store_backend,
-            shards=(
-                store_shards if store_shards is not None else DEFAULT_SHARDS
-            ),
-            max_entries=store_max_entries,
-        )
-        try:
-            # Fail fast on a bad store before any corpus work; the
-            # engine reopens it from the spec.
-            store_spec.open().close()
-        except (OSError, ValueError) as exc:
-            print(f"jlreduce: cannot open store {store_path}: {exc}",
-                  file=sys.stderr)
-            return 1
     experiment = ExperimentConfig(
         budget_calls=budget_calls,
         budget_seconds=budget_seconds,
@@ -1530,7 +1517,6 @@ def _parse_server(spec: str) -> tuple:
 
 
 def _serve(args) -> int:
-    from repro.parallel.scheduler import StoreSpec
     from repro.service import ServiceConfig, TenantPolicy
     from repro.service.server import serve
 
@@ -1550,14 +1536,13 @@ def _serve(args) -> int:
             max_jobs=args.tenant_quota_jobs,
             max_seconds=args.tenant_quota_seconds,
         )
-    store_spec = None
-    if args.store:
-        kwargs = {"path": args.store, "backend": args.store_backend}
-        if args.store_shards is not None:
-            kwargs["shards"] = args.store_shards
-        if args.store_max_entries is not None:
-            kwargs["max_entries"] = args.store_max_entries
-        store_spec = StoreSpec(**kwargs)
+    try:
+        store_spec = _store_spec(
+            args.store, args.store_shards, args.store_max_entries
+        )
+    except ValueError as exc:
+        print(f"jlreduce: {exc}", file=sys.stderr)
+        return 1
     config = ServiceConfig(
         host=args.host,
         port=args.port,

@@ -14,10 +14,9 @@ and across serial/parallel execution; only ``real_seconds`` varies.
 
 Whole corpora run through :func:`repro.parallel.run_corpus_experiment`
 (inline at ``jobs=1``, worker processes above).  Passing
-:func:`run_instance` a predicate store (any
-:func:`repro.parallel.open_store` backend — the sharded cache tier,
-sqlite, or the v1 single file) makes predicate outcomes persist across
-runs (a warm store re-runs an instance with zero fresh predicate
+:func:`run_instance` a predicate store (the sharded cache tier, from
+:func:`repro.parallel.open_store`) makes predicate outcomes persist
+across runs (a warm store re-runs an instance with zero fresh predicate
 calls).  ``ExperimentConfig.tenant`` namespaces the store so many
 tenants can share one warm cache safely.
 """
@@ -295,7 +294,7 @@ def run_instance(
 ) -> InstanceOutcome:
     """Run one strategy on one instance.
 
-    ``store`` (any :func:`repro.parallel.open_store` backend) makes
+    ``store`` (a :func:`repro.parallel.open_store` handle) makes
     predicate outcomes persist: a repeat run of the same instance
     against a warm store reports ``predicate_calls == 0``.
 

@@ -163,7 +163,7 @@ def load_trace(target: Union[str, TextIO]) -> List[Dict[str, Any]]:
     Blank lines are skipped.  A *truncated final line* — one that does
     not end in a newline and does not parse — is skipped silently: that
     is the torn write a killed shard writer leaves behind (same policy
-    as :class:`repro.parallel.store.PredicateStore`).  Any other
+    as :class:`repro.parallel.store.ShardedPredicateStore`).  Any other
     malformed line raises ``ValueError`` with the offending line number.
     """
     if isinstance(target, str):

@@ -17,12 +17,11 @@ axes:
   keyed by oracle fingerprint + canonical sub-input hash, which
   :class:`~repro.reduction.predicate.InstrumentedPredicate` reads
   through and writes back, so repeat runs of the same instance cost
-  zero fresh predicate calls.  Three backends behind one interface
+  zero fresh predicate calls.  One store behind one opener
   (:func:`open_store`): the sharded lazy-loading JSONL tier
   (:class:`ShardedPredicateStore` — hash-selected shard files, LRU
   size-bounded residency, threshold compaction, hit/miss/evict
-  telemetry), a sqlite-WAL variant (:class:`SqlitePredicateStore`),
-  and the v1 single-file :class:`PredicateStore` both migrate from,
+  telemetry), which imports a v1 single-file store on first open,
 - :mod:`repro.parallel.speculate` — speculative k-ary prefix search for
   GBR's inner binary search (``--speculate K``): k probes per round run
   concurrently on a dedicated pool, committed in deterministic serial
@@ -65,9 +64,7 @@ from repro.parallel.speculate import (
 )
 from repro.parallel.store import (
     DEFAULT_SHARDS,
-    PredicateStore,
     ShardedPredicateStore,
-    SqlitePredicateStore,
     fingerprint_of,
     key_of,
     open_store,
@@ -75,9 +72,7 @@ from repro.parallel.store import (
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "PredicateStore",
     "ShardedPredicateStore",
-    "SqlitePredicateStore",
     "InstancePool",
     "InstanceTaskSpec",
     "ProbeTaskSpec",

@@ -165,11 +165,10 @@ class StoreSpec:
     The parent opens the store first, so the shard layout/manifest
     exists before any worker races to it; after that, PR 8's
     single-``os.write`` O_APPEND append discipline makes concurrent
-    multi-process appends safe on every backend.
+    multi-process appends to a shard safe.
     """
 
     path: str
-    backend: str = "sharded"
     shards: int = DEFAULT_SHARDS
     max_entries: Optional[int] = None
 
@@ -178,7 +177,6 @@ class StoreSpec:
 
         return open_store(
             self.path,
-            backend=self.backend,
             shards=self.shards,
             max_entries=self.max_entries,
         )

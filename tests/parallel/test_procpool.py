@@ -283,12 +283,12 @@ class TestBackendDifferential:
         assert process.metrics.get("speculate.rounds", 0) >= 1
 
     def test_warm_and_cold_store_identical(self, pair, tmp_path):
-        from repro.parallel import PredicateStore
+        from repro.parallel import open_store
 
-        with PredicateStore(tmp_path / "thread.jsonl") as thread_store:
+        with open_store(tmp_path / "thread") as thread_store:
             thread_cold = _run(pair, store=thread_store, speculate=4)
             thread_warm = _run(pair, store=thread_store, speculate=4)
-        with PredicateStore(tmp_path / "proc.jsonl") as process_store:
+        with open_store(tmp_path / "proc") as process_store:
             process_cold = _run(
                 pair, store=process_store, speculate=4,
                 probe_backend="process",

@@ -15,8 +15,8 @@ import repro.parallel.scheduler as scheduler_module
 from repro.harness import ExperimentConfig, run_instance
 from repro.harness.experiments import outcome_signature
 from repro.parallel import (
-    PredicateStore,
     StoreSpec,
+    open_store,
     resolve_jobs,
     run_corpus_experiment,
 )
@@ -103,7 +103,7 @@ class TestPersistentStoreReuse:
     ):
         benchmark = next(b for b in tiny_corpus if b.instances)
         instance = benchmark.instances[0]
-        with PredicateStore(tmp_path / "store.jsonl") as store:
+        with open_store(tmp_path / "store") as store:
             cold = run_instance(
                 benchmark, instance, "our-reducer", config, store
             )

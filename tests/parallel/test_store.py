@@ -1,44 +1,45 @@
-"""Tests for the persistent predicate store (JSONL round-trip, corruption)."""
+"""Tests for the persistent predicate store (JSONL round-trip, corruption,
+concurrent and killed writers)."""
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
 
-from repro.parallel import PredicateStore, fingerprint_of
+from repro.parallel import ShardedPredicateStore, fingerprint_of, key_of
 from repro.reduction.predicate import InstrumentedPredicate
+
+
+def _shard_file(path):
+    """The one shard file of a ``shards=1`` store at ``path``."""
+    return path / "shard-000.jsonl"
 
 
 class TestKeying:
     def test_key_is_order_independent(self):
-        assert PredicateStore.key_of(["b", "a"]) == PredicateStore.key_of(
-            ["a", "b"]
-        )
+        assert key_of(["b", "a"]) == key_of(["a", "b"])
 
     def test_key_distinguishes_sets(self):
-        assert PredicateStore.key_of(["a"]) != PredicateStore.key_of(
-            ["a", "b"]
-        )
+        assert key_of(["a"]) != key_of(["a", "b"])
 
     def test_key_survives_separator_in_item(self):
         # Regression: the old scheme joined str() renderings with
         # "\x1f", so one item containing the separator collided with
         # the two-item set it split into.
-        assert PredicateStore.key_of(["a\x1fb"]) != PredicateStore.key_of(
-            ["a", "b"]
-        )
+        assert key_of(["a\x1fb"]) != key_of(["a", "b"])
 
     def test_key_distinguishes_item_types(self):
         # Regression: str() rendered 1 and "1" identically; repr keeps
         # them apart.
-        assert PredicateStore.key_of([1]) != PredicateStore.key_of(["1"])
+        assert key_of([1]) != key_of(["1"])
 
     def test_key_length_prefix_is_injective(self):
         # Adjacent renderings must not re-associate: {"1:", "x"} vs
         # {"1", ":x"} concatenate alike without length prefixes.
-        assert PredicateStore.key_of(["1:", "x"]) != PredicateStore.key_of(
-            ["1", ":x"]
-        )
+        assert key_of(["1:", "x"]) != key_of(["1", ":x"])
 
     def test_fingerprint_of_is_stable_and_part_sensitive(self):
         assert fingerprint_of("x", "y") == fingerprint_of("x", "y")
@@ -50,7 +51,7 @@ class TestKeying:
 
 class TestRoundTrip:
     def test_record_then_lookup(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             store.record("oracle", frozenset({"a", "b"}), True)
             store.record("oracle", frozenset({"a"}), False)
             assert store.lookup("oracle", frozenset({"b", "a"})) is True
@@ -58,73 +59,77 @@ class TestRoundTrip:
             assert store.lookup("oracle", frozenset({"b"})) is None
 
     def test_fingerprints_namespace_entries(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             store.record("one", frozenset({"a"}), True)
             assert store.lookup("two", frozenset({"a"})) is None
 
     def test_survives_reload(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        with ShardedPredicateStore(path) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"b"}), False)
-        with PredicateStore(path) as reloaded:
-            assert len(reloaded) == 2
+        with ShardedPredicateStore(path) as reloaded:
             assert reloaded.lookup("oracle", frozenset({"a"})) is True
             assert reloaded.lookup("oracle", frozenset({"b"})) is False
+            assert len(reloaded) == 2
 
     def test_duplicate_records_write_once(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        with ShardedPredicateStore(path, shards=1) as store:
             for _ in range(5):
                 store.record("oracle", frozenset({"a"}), True)
-        assert len(path.read_text().splitlines()) == 1
+        assert len(_shard_file(path).read_text().splitlines()) == 1
 
     def test_missing_file_starts_empty(self, tmp_path):
-        with PredicateStore(tmp_path / "new.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "new") as store:
+            assert store.lookup("oracle", frozenset({"a"})) is None
             assert len(store) == 0
             assert store.corrupt_lines == 0
 
 
 class TestCorruptionTolerance:
     def test_truncated_last_line_is_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        with ShardedPredicateStore(path, shards=1) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"b"}), True)
         # Simulate a writer killed mid-append: chop the final line.
-        text = path.read_text()
-        path.write_text(text[: len(text) - 20])
-        with PredicateStore(path) as reloaded:
+        shard = _shard_file(path)
+        text = shard.read_text()
+        shard.write_text(text[: len(text) - 20])
+        with ShardedPredicateStore(path) as reloaded:
+            assert reloaded.lookup("oracle", frozenset({"a"})) is True
+            assert reloaded.lookup("oracle", frozenset({"b"})) is None
             assert reloaded.corrupt_lines == 1
             assert len(reloaded) == 1
-            assert reloaded.lookup("oracle", frozenset({"a"})) is True
 
     def test_garbage_lines_are_counted_not_fatal(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text(
+        path = tmp_path / "store"
+        path.mkdir()
+        _shard_file(path).write_text(
             "not json at all\n"
-            + json.dumps({"f": "o", "k": PredicateStore.key_of(["a"]),
-                          "v": True})
+            + json.dumps({"f": "o", "k": key_of(["a"]), "v": True})
             + "\n"
             + json.dumps({"missing": "keys"})
             + "\n"
         )
-        with PredicateStore(path) as store:
-            assert store.corrupt_lines == 2
+        with ShardedPredicateStore(path, shards=1) as store:
             assert store.lookup("o", frozenset({"a"})) is True
+            assert store.corrupt_lines == 2
 
     def test_appending_after_torn_line_recovers(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"f": "o", "k": "abc", "v": tr')  # torn write
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        path.mkdir()
+        _shard_file(path).write_text('{"f": "o", "k": "abc", "v": tr')
+        with ShardedPredicateStore(path, shards=1) as store:
             store.record("o", frozenset({"x"}), False)
-        with PredicateStore(path) as reloaded:
+        with ShardedPredicateStore(path) as reloaded:
             assert reloaded.lookup("o", frozenset({"x"})) is False
 
 
 class TestLifecycle:
     def test_record_after_close_raises_clearly(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = ShardedPredicateStore(tmp_path / "store")
         store.close()
         # Regression: a late record() used to hand the None descriptor
         # to os.write and die with an opaque TypeError.
@@ -132,21 +137,24 @@ class TestLifecycle:
             store.record("oracle", frozenset({"a"}), True)
 
     def test_close_is_idempotent(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = ShardedPredicateStore(tmp_path / "store")
         store.record("oracle", frozenset({"a"}), True)
         store.close()
         store.close()  # second close must not raise (or double-close the fd)
         assert store.closed
 
-    def test_lookup_after_close_still_answers_from_memory(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+    def test_lookup_after_close_raises(self, tmp_path):
+        store = ShardedPredicateStore(tmp_path / "store")
         store.record("oracle", frozenset({"a"}), True)
         store.close()
-        assert store.lookup("oracle", frozenset({"a"})) is True
+        # Lookups may fault shards from disk, which a closed store
+        # no longer does.
+        with pytest.raises(ValueError, match="closed"):
+            store.lookup("oracle", frozenset({"a"}))
 
     def test_context_manager_closes_on_error(self, tmp_path):
         with pytest.raises(RuntimeError):
-            with PredicateStore(tmp_path / "s.jsonl") as store:
+            with ShardedPredicateStore(tmp_path / "store") as store:
                 store.record("oracle", frozenset({"a"}), True)
                 raise RuntimeError("mid-run crash")
         assert store.closed
@@ -156,7 +164,7 @@ class TestLifecycle:
         # bare while record() mutated it under the lock — safe only by
         # CPython-GIL accident).  Hammer both paths together and assert
         # every read returns a value that was actually written.
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = ShardedPredicateStore(tmp_path / "store")
         stop = threading.Event()
         errors = []
 
@@ -186,7 +194,7 @@ class TestLifecycle:
 
 class TestLastWriteWins:
     def test_conflicting_records_last_write_wins_in_memory(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"a"}), False)
             assert store.lookup("oracle", frozenset({"a"})) is False
@@ -194,21 +202,21 @@ class TestLastWriteWins:
     def test_conflicting_records_last_write_wins_across_reload(
         self, tmp_path
     ):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        with ShardedPredicateStore(path, shards=1) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"a"}), False)
             store.record("oracle", frozenset({"a"}), True)
         # Three lines on disk; the loader must keep the latest.
-        assert len(path.read_text().splitlines()) == 3
-        with PredicateStore(path) as reloaded:
+        assert len(_shard_file(path).read_text().splitlines()) == 3
+        with ShardedPredicateStore(path) as reloaded:
             assert reloaded.lookup("oracle", frozenset({"a"})) is True
 
 
 class TestThreadSafety:
     def test_concurrent_records_all_land(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        store = PredicateStore(path)
+        path = tmp_path / "store"
+        store = ShardedPredicateStore(path)
 
         def worker(tag):
             for i in range(50):
@@ -222,19 +230,24 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         store.close()
-        with PredicateStore(path) as reloaded:
+        with ShardedPredicateStore(path) as reloaded:
+            for tag in range(8):
+                for i in range(50):
+                    assert reloaded.lookup(
+                        "oracle", frozenset({f"{tag}-{i}"})
+                    ) is (i % 2 == 0)
             assert len(reloaded) == 8 * 50
             assert reloaded.corrupt_lines == 0
-            assert reloaded.lookup("oracle", frozenset({"3-4"})) is True
-            assert reloaded.lookup("oracle", frozenset({"3-5"})) is False
 
 
 def _append_records(path, tag, count):
     """One appender process: write ``count`` records to a shared store.
 
-    Module-level so the spawn start method can pickle it by reference.
+    Every appender shares the one shard, so all of them contend on the
+    same file.  Module-level so the spawn start method can pickle it by
+    reference.
     """
-    with PredicateStore(path) as store:
+    with ShardedPredicateStore(path, shards=1) as store:
         for i in range(count):
             store.record("oracle", frozenset({f"{tag}-{i}"}), i % 2 == 0)
 
@@ -246,9 +259,7 @@ class TestMultiProcessAppends:
     ``O_APPEND`` fd are atomic, so whole lines always interleave."""
 
     def test_concurrent_appender_processes_never_tear_lines(self, tmp_path):
-        import multiprocessing
-
-        path = str(tmp_path / "shared.jsonl")
+        path = str(tmp_path / "shared")
         spawn = multiprocessing.get_context("spawn")
         workers, per_worker = 4, 100
         processes = [
@@ -260,9 +271,7 @@ class TestMultiProcessAppends:
         for process in processes:
             process.join(timeout=120)
             assert process.exitcode == 0
-        with PredicateStore(path) as reloaded:
-            assert reloaded.corrupt_lines == 0
-            assert len(reloaded) == workers * per_worker
+        with ShardedPredicateStore(path) as reloaded:
             for tag in range(workers):
                 assert reloaded.lookup(
                     "oracle", frozenset({f"{tag}-0"})
@@ -270,30 +279,31 @@ class TestMultiProcessAppends:
                 assert reloaded.lookup(
                     "oracle", frozenset({f"{tag}-{per_worker - 1}"})
                 ) is False
+            assert reloaded.corrupt_lines == 0
+            assert len(reloaded) == workers * per_worker
 
     def test_every_line_is_whole_json(self, tmp_path):
-        import multiprocessing
-
-        path = str(tmp_path / "shared.jsonl")
+        path = tmp_path / "shared"
         spawn = multiprocessing.get_context("spawn")
         processes = [
-            spawn.Process(target=_append_records, args=(path, tag, 50))
+            spawn.Process(target=_append_records, args=(str(path), tag, 50))
             for tag in range(3)
         ]
         for process in processes:
             process.start()
         for process in processes:
             process.join(timeout=120)
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                entry = json.loads(line)  # any tear would explode here
-                assert set(entry) == {"f", "k", "v"}
+            assert process.exitcode == 0
+        with open(_shard_file(path), "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert len(lines) == 3 * 50
+        for line in lines:
+            entry = json.loads(line)  # any tear would explode here
+            assert set(entry) == {"f", "k", "v"}
 
 
 def _append_conflicting(path, tag, keys, barrier):
     """One appender process: record conflicting outcomes for shared keys."""
-    from repro.parallel import ShardedPredicateStore
-
     barrier.wait()
     with ShardedPredicateStore(path, shards=1) as store:
         for i in range(keys):
@@ -302,8 +312,6 @@ def _append_conflicting(path, tag, keys, barrier):
 
 def _open_torn_and_append(path, tag, barrier):
     """Open a torn shard (racing another opener) and append records."""
-    from repro.parallel import ShardedPredicateStore
-
     barrier.wait()
     with ShardedPredicateStore(path, shards=1) as store:
         for i in range(20):
@@ -317,8 +325,6 @@ class TestMultiProcessConflicts:
     last write wins, deterministically derivable from the file."""
 
     def test_same_shard_conflicting_appenders(self, tmp_path):
-        import multiprocessing
-
         path = str(tmp_path / "store")
         spawn = multiprocessing.get_context("spawn")
         workers, keys = 4, 25
@@ -343,8 +349,6 @@ class TestMultiProcessConflicts:
                 entry = json.loads(line)  # any tear would explode here
                 last_line_value[(entry["f"], entry["k"])] = entry["v"]
 
-        from repro.parallel import ShardedPredicateStore
-
         with ShardedPredicateStore(path) as reloaded:
             assert reloaded.corrupt_lines == 0
             for i in range(keys):
@@ -355,11 +359,7 @@ class TestMultiProcessConflicts:
                 )
 
     def test_two_openers_of_a_torn_shard_both_repair(self, tmp_path):
-        import multiprocessing
-
         path = tmp_path / "store"
-        from repro.parallel import ShardedPredicateStore
-
         with ShardedPredicateStore(path, shards=1) as seed:
             seed.record("oracle", frozenset({"seed"}), True)
         shard = path / "shard-000.jsonl"
@@ -397,8 +397,6 @@ class TestMultiProcessConflicts:
     ):
         # The in-process rendering of the race above: a torn tail plus
         # *two* repair newlines (one per simultaneous opener).
-        from repro.parallel import ShardedPredicateStore
-
         path = tmp_path / "store"
         with ShardedPredicateStore(path, shards=1) as seed:
             seed.record("oracle", frozenset({"seed"}), True)
@@ -420,9 +418,65 @@ class TestMultiProcessConflicts:
             assert reloaded.corrupt_lines == 1
 
 
+def _record_and_acknowledge(path, conn):
+    """Record outcomes forever, sending each index once it is recorded.
+
+    ``record`` returns only after its single ``os.write``, so an index
+    on the pipe names a record the kernel already holds.
+    """
+    with ShardedPredicateStore(path) as store:
+        for i in range(10**7):
+            store.record("oracle", frozenset({f"crash-{i}"}), i % 2 == 0)
+            conn.send(i)
+
+
+class TestCrashConsistency:
+    """A writer killed with SIGKILL mid-loop leaves a store that reopens,
+    answers every record it acknowledged, and takes further appends."""
+
+    def test_sigkilled_writer_loses_no_acknowledged_record(self, tmp_path):
+        path = str(tmp_path / "store")
+        spawn = multiprocessing.get_context("spawn")
+        parent_conn, child_conn = spawn.Pipe(duplex=False)
+        child = spawn.Process(
+            target=_record_and_acknowledge, args=(path, child_conn)
+        )
+        child.start()
+        child_conn.close()
+        acknowledged = []
+        try:
+            while len(acknowledged) < 200:
+                assert parent_conn.poll(60), "writer stopped acknowledging"
+                acknowledged.append(parent_conn.recv())
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == -signal.SIGKILL
+        # Acknowledgements already in the pipe when the kill landed.
+        while parent_conn.poll():
+            try:
+                acknowledged.append(parent_conn.recv())
+            except (EOFError, OSError):
+                break
+        parent_conn.close()
+
+        with ShardedPredicateStore(path) as reopened:
+            for i in acknowledged:
+                assert reopened.lookup(
+                    "oracle", frozenset({f"crash-{i}"})
+                ) is (i % 2 == 0)
+            reopened.record("oracle", frozenset({"after-crash"}), True)
+        with ShardedPredicateStore(path) as again:
+            assert again.lookup("oracle", frozenset({"after-crash"})) is True
+            assert again.lookup(
+                "oracle", frozenset({f"crash-{acknowledged[-1]}"})
+            ) is (acknowledged[-1] % 2 == 0)
+
+
 class TestPredicateIntegration:
     def test_wrapper_requires_fingerprint_with_store(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             with pytest.raises(ValueError):
                 InstrumentedPredicate(lambda s: True, store=store)
 
@@ -433,7 +487,7 @@ class TestPredicateIntegration:
             calls.append(sub_input)
             return "x" in sub_input
 
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             first = InstrumentedPredicate(raw, store=store, fingerprint="fp")
             assert first(frozenset({"x", "y"})) is True
             assert first(frozenset({"y"})) is False
@@ -448,7 +502,7 @@ class TestPredicateIntegration:
             assert len(calls) == 2
 
     def test_store_hit_still_updates_best_and_timeline(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with ShardedPredicateStore(tmp_path / "store") as store:
             warmer = InstrumentedPredicate(
                 lambda s: True, store=store, fingerprint="fp"
             )

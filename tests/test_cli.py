@@ -238,6 +238,36 @@ class TestBenchParallel:
         assert "--corpus-jobs" in capsys.readouterr().err
 
 
+class TestStoreFlags:
+    """``bench`` and ``serve`` validate ``--store`` the same way: a store
+    that cannot open is a one-line error and exit 1, before any corpus
+    work or server start."""
+
+    COMMANDS = [["bench"], ["serve", "--port", "0"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["bench", "serve"])
+    def test_corrupt_manifest_is_one_line_error(
+        self, command, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "store.json").write_text('{"shards": 0}\n')
+        assert main(command + ["--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"jlreduce: cannot open store {store}: ")
+        assert "corrupt store manifest" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["bench", "serve"])
+    def test_zero_shards_is_one_line_error(self, command, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(command + ["--store", store, "--store-shards", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"jlreduce: cannot open store {store}: ")
+        assert "shards must be >= 1" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestProbeBackendCli:
     @pytest.fixture()
     def tiny_corpus(self, monkeypatch):

@@ -32,9 +32,12 @@ Run it directly (pytest does not collect it — ``testpaths`` excludes
 CI regression gate: ``--check BENCH_8.json`` re-runs and exits
 non-zero when ``startup_speedup`` falls below ``--min-startup-speedup``
 (default 3x), warm-run probes are not zero, the cross-run hit counter
-is zero, lookup throughput falls below ``--min-lookup-ops``, or the
+is zero, lookup throughput falls below ``--min-lookup-ops``, the
 store-backed run diverges from the store-less one on reduction
-results.
+results, or a deterministic corpus figure (:data:`CORPUS_FIGURES`:
+apps, instances, cold/warm probe counts, warm store hits/misses)
+differs from the baseline's.  The baseline is read before the run, so
+``--check`` may name the ``--out`` file.
 """
 
 from __future__ import annotations
@@ -173,8 +176,24 @@ def bench_warm_and_differential(
     }
 
 
+#: The warm-corpus figures a rerun must reproduce exactly: they are a
+#: deterministic function of the seeded corpus and the reduction, so any
+#: drift is a behaviour change (or a stale baseline), never noise.
+CORPUS_FIGURES = (
+    "apps",
+    "instances",
+    "cold_predicate_calls",
+    "warm_predicate_calls",
+    "warm_store_hits",
+    "warm_store_misses",
+)
+
+
 def check_payload(
-    payload: Dict, min_startup_speedup: float, min_lookup_ops: int
+    payload: Dict,
+    min_startup_speedup: float,
+    min_lookup_ops: int,
+    baseline: Dict,
 ) -> List[str]:
     failures = []
     startup = payload["startup"]
@@ -202,6 +221,13 @@ def check_payload(
         )
     if corpus["warm_store_hits"] <= 0:
         failures.append("warm rerun recorded no store.hits")
+    for name in CORPUS_FIGURES:
+        expected = baseline["corpus"][name]
+        if corpus[name] != expected:
+            failures.append(
+                f"corpus {name} is {corpus[name]!r}, baseline has "
+                f"{expected!r}"
+            )
     return failures
 
 
@@ -218,6 +244,10 @@ def main(argv=None) -> int:
     parser.add_argument("--min-classes", type=int, default=12)
     parser.add_argument("--max-classes", type=int, default=20)
     args = parser.parse_args(argv)
+    baseline = None
+    if args.check is not None:
+        with open(args.check) as handle:
+            baseline = json.load(handle)
 
     with tempfile.TemporaryDirectory(prefix="bench-store-") as root:
         payload = {
@@ -258,11 +288,9 @@ def main(argv=None) -> int:
         "(no store == sharded store)"
     )
 
-    if args.check is not None:
-        with open(args.check) as handle:
-            json.load(handle)  # the baseline must exist and parse
+    if baseline is not None:
         failures = check_payload(
-            payload, args.min_startup_speedup, args.min_lookup_ops
+            payload, args.min_startup_speedup, args.min_lookup_ops, baseline
         )
         if failures:
             for failure in failures:

@@ -121,6 +121,74 @@ def _add_store_arguments(cmd: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_arguments(cmd: argparse.ArgumentParser) -> None:
+    """The run flags ``reduce`` and ``bench`` share (checked once by
+    :func:`_run_arguments_error`)."""
+    cmd.add_argument(
+        "--trace",
+        metavar="FILE.jsonl",
+        help="write span/metric telemetry for the run as JSONL",
+    )
+    cmd.add_argument(
+        "--json",
+        action="store_true",
+        help="print the result as JSON (reduce: the solution; bench: "
+        "per-instance outcomes) instead of the human-readable output",
+    )
+    cmd.add_argument(
+        "--budget-calls",
+        type=int,
+        metavar="N",
+        help="per-run cap on fresh predicate attempts; an exhausted run "
+        "returns its best-so-far result (status: partial)",
+    )
+    cmd.add_argument(
+        "--budget-seconds",
+        type=float,
+        metavar="S",
+        help="per-run cap on simulated seconds (33 s per attempt); an "
+        "exhausted run returns its best-so-far result (status: partial)",
+    )
+    cmd.add_argument(
+        "--speculate",
+        type=int,
+        default=1,
+        metavar="K",
+        help="evaluate up to K GBR prefix-search probes concurrently per "
+        "round; results are byte-identical to sequential runs (default 1)",
+    )
+    cmd.add_argument(
+        "--probe-backend",
+        choices=("thread", "process"),
+        default="thread",
+        help="where speculative probes physically run: 'thread' (GIL-"
+        "bound pool) or 'process' (spawn-safe worker processes); "
+        "results are byte-identical (default thread)",
+    )
+    cmd.add_argument(
+        "--profile-phases",
+        action="store_true",
+        help="capture a cProfile hotspot table per reduce phase into the "
+        "trace (requires --trace; adds noticeable overhead)",
+    )
+
+
+def _run_arguments_error(args: argparse.Namespace) -> Optional[str]:
+    """Why the shared run flags are unusable, or None when they are fine."""
+    from repro.resilience import Budget
+
+    if args.speculate < 1:
+        return f"--speculate must be >= 1, got {args.speculate}"
+    if args.profile_phases and not args.trace:
+        return ("--profile-phases needs --trace (the profile is recorded "
+                "into the trace)")
+    try:
+        Budget(max_calls=args.budget_calls, max_seconds=args.budget_seconds)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jlreduce",
@@ -150,52 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ITEM",
         help="item that must survive, e.g. '[A.m()!code]' (repeatable)",
     )
-    reduce_cmd.add_argument(
-        "--trace",
-        metavar="FILE.jsonl",
-        help="write span/metric telemetry for the run as JSONL",
-    )
-    reduce_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="print the result as JSON instead of the reduced program",
-    )
-    reduce_cmd.add_argument(
-        "--budget-calls",
-        type=int,
-        metavar="N",
-        help="stop after N fresh predicate calls and return the "
-        "best-so-far result (status: partial)",
-    )
-    reduce_cmd.add_argument(
-        "--budget-seconds",
-        type=float,
-        metavar="S",
-        help="stop once the simulated clock passes S seconds and return "
-        "the best-so-far result (status: partial)",
-    )
-    reduce_cmd.add_argument(
-        "--speculate",
-        type=int,
-        default=1,
-        metavar="K",
-        help="evaluate up to K prefix-search probes concurrently per "
-        "round; results are byte-identical to sequential (default 1)",
-    )
-    reduce_cmd.add_argument(
-        "--probe-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="where speculative probes physically run: 'thread' (GIL-"
-        "bound pool) or 'process' (spawn-safe worker processes); "
-        "results are byte-identical (default thread)",
-    )
-    reduce_cmd.add_argument(
-        "--profile-phases",
-        action="store_true",
-        help="capture a cProfile hotspot table of the reduction into "
-        "the trace (requires --trace; adds noticeable overhead)",
-    )
+    _add_run_arguments(reduce_cmd)
 
     bench = sub.add_parser(
         "bench", help="run the corpus experiment and print the reports"
@@ -260,29 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="namespace store entries under a tenant, so many tenants "
         "can share one warm store without mixing cached outcomes",
     )
-    bench.add_argument(
-        "--trace",
-        metavar="FILE.jsonl",
-        help="write span/metric telemetry for the experiment as JSONL",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="print per-instance outcomes as JSON instead of the reports",
-    )
-    bench.add_argument(
-        "--budget-calls",
-        type=int,
-        metavar="N",
-        help="per-run cap on fresh predicate attempts; exhausted runs "
-        "return their best-so-far result (status: partial)",
-    )
-    bench.add_argument(
-        "--budget-seconds",
-        type=float,
-        metavar="S",
-        help="per-run cap on simulated seconds (33 s per attempt)",
-    )
+    _add_run_arguments(bench)
     bench.add_argument(
         "--retries",
         type=int,
@@ -326,23 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="master seed for the fault schedule (default 2021)",
     )
     bench.add_argument(
-        "--speculate",
-        type=int,
-        default=1,
-        metavar="K",
-        help="evaluate up to K GBR prefix-search probes concurrently per "
-        "round on a shared probe pool; outcomes are byte-identical to "
-        "sequential runs (default 1)",
-    )
-    bench.add_argument(
-        "--probe-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="where speculative probes physically run: 'thread' (GIL-"
-        "bound pool) or 'process' (spawn-safe worker processes); "
-        "outcomes are byte-identical (default thread)",
-    )
-    bench.add_argument(
         "--tool-latency-ms",
         type=float,
         default=0.0,
@@ -350,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="real milliseconds each fresh predicate attempt sleeps, "
         "modelling the paper's external ~33 s tool; concurrent probes "
         "overlap the sleep (default 0)",
-    )
-    bench.add_argument(
-        "--profile-phases",
-        action="store_true",
-        help="capture per-instance cProfile hotspot tables into the "
-        "trace (requires --trace; adds noticeable overhead)",
     )
 
     corpus_cmd = sub.add_parser(
@@ -647,46 +625,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _demo()
     if args.command == "count":
         return _count(args.file)
-    if args.command == "reduce":
-        return _reduce(
-            args.file,
-            args.keep,
-            args.trace,
-            args.json,
-            budget_calls=args.budget_calls,
-            budget_seconds=args.budget_seconds,
-            speculate=args.speculate,
-            probe_backend=args.probe_backend,
-            profile_phases=args.profile_phases,
-        )
-    if args.command == "bench":
-        return _bench(
-            args.profile,
-            args.trace,
-            args.json,
-            args.store,
-            num_benchmarks=args.num_benchmarks,
-            corpus_jobs=args.corpus_jobs,
-            worker_budget=args.worker_budget,
-            results_path=args.results,
-            corpus_dir=args.corpus_dir,
-            debloat=args.debloat,
-            store_shards=args.store_shards,
-            store_max_entries=args.store_max_entries,
-            store_tenant=args.store_tenant,
-            budget_calls=args.budget_calls,
-            budget_seconds=args.budget_seconds,
-            retries=args.retries,
-            deadline_seconds=args.deadline_seconds,
-            keep_going=args.keep_going,
-            chaos=args.chaos,
-            chaos_rate=args.chaos_rate,
-            chaos_seed=args.chaos_seed,
-            speculate=args.speculate,
-            probe_backend=args.probe_backend,
-            tool_latency_ms=args.tool_latency_ms,
-            profile_phases=args.profile_phases,
-        )
+    if args.command in ("reduce", "bench"):
+        error = _run_arguments_error(args)
+        if error is not None:
+            print(f"jlreduce: {error}", file=sys.stderr)
+            return 1
+        return _reduce(args) if args.command == "reduce" else _bench(args)
     if args.command == "corpus":
         if args.corpus_command == "generate":
             return _corpus_generate(
@@ -824,27 +768,24 @@ def _count(path: str) -> int:
     return 0
 
 
-def _reduce(
-    path: str,
-    keep: List[str],
-    trace_path: Optional[str] = None,
-    json_output: bool = False,
-    budget_calls: Optional[int] = None,
-    budget_seconds: Optional[float] = None,
-    speculate: int = 1,
-    probe_backend: str = "thread",
-    profile_phases: bool = False,
-) -> int:
+def _reduce(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.fji.pretty import pretty_program
     from repro.fji.reducer import reduce_program
     from repro.fji.variables import variables_of
+    from repro.harness.experiments import ExperimentConfig, probe_pool
     from repro.observability import (
         profiled_phase,
         tracing_session,
         write_trace,
     )
+    from repro.parallel.procpool import ProbeTaskSpec, build_oracle_chain
     from repro.reduction import ReductionProblem, generalized_binary_reduction
+    from repro.reduction.predicate import InstrumentedPredicate
+    from repro.resilience import Budget
 
+    path = args.file
     loaded = _load_program(path)
     if loaded is None:
         return 1
@@ -852,7 +793,7 @@ def _reduce(
     variables = variables_of(program)
     by_name = {str(v): v for v in variables}
     required = set()
-    for name in keep:
+    for name in args.keep:
         if name not in by_name:
             known = ", ".join(sorted(by_name))
             print(f"jlreduce: unknown item {name!r}; known items: {known}",
@@ -860,99 +801,69 @@ def _reduce(
             return 1
         required.add(by_name[name])
 
-    if speculate < 1:
-        print(f"jlreduce: --speculate must be >= 1, got {speculate}",
-              file=sys.stderr)
-        return 1
-    if profile_phases and not trace_path:
-        print("jlreduce: --profile-phases needs --trace (the profile is "
-              "recorded into the trace)", file=sys.stderr)
-        return 1
     target = frozenset(required)
     containment = _ContainmentPredicate(target)
-    predicate = containment
-    if budget_calls is not None or budget_seconds is not None:
-        from repro.resilience import Budget, ResilientPredicate
-
-        try:
-            budget = Budget(
-                max_calls=budget_calls,
-                max_seconds=budget_seconds,
+    # The task spec ships the raw containment oracle to process probe
+    # workers; a limiting budget serializes speculation before the pool
+    # sees a task, so the budget stays parent-side.
+    predicate = InstrumentedPredicate(
+        build_oracle_chain(
+            containment,
+            budget=Budget(
+                max_calls=args.budget_calls,
+                max_seconds=args.budget_seconds,
                 seconds_per_call=33.0,  # the paper's mean tool-run cost
-            )
-        except ValueError as exc:
-            print(f"jlreduce: {exc}", file=sys.stderr)
-            return 1
-        predicate = ResilientPredicate(predicate, budget=budget)
-    if probe_backend == "process" and speculate > 1:
-        # GBR's _instrument passes a pre-built InstrumentedPredicate
-        # through, so this is where the picklable task spec (the raw
-        # containment oracle — a limiting budget serializes speculation
-        # before the pool sees a task) attaches to the cache layer.
-        from repro.parallel.procpool import ProbeTaskSpec
-        from repro.reduction.predicate import InstrumentedPredicate
-
-        predicate = InstrumentedPredicate(
-            predicate,
-            task_spec=ProbeTaskSpec(kind="callable", predicate=containment),
-        )
+            ),
+        ),
+        task_spec=ProbeTaskSpec(kind="callable", predicate=containment),
+    )
     problem = ReductionProblem(
         variables=variables,
         predicate=predicate,
         constraint=constraints,
         description=path,
     )
-    probes = None
-    if speculate > 1:
-        if probe_backend == "process":
-            from repro.parallel.procpool import ProcessProbePool
 
-            probes = ProcessProbePool(max_workers=speculate)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+    probes = probe_pool(
+        ExperimentConfig(
+            speculate=args.speculate, probe_backend=args.probe_backend
+        )
+    )
 
-            probes = ThreadPoolExecutor(
-                max_workers=speculate, thread_name_prefix="jlreduce-probe"
-            )
+    def run():
+        return generalized_binary_reduction(
+            problem,
+            require_true=target,
+            speculate=args.speculate,
+            probe_executor=probes,
+        )
+
     try:
-        if trace_path:
-            trace_handle = _open_trace(trace_path)
+        if args.trace:
+            trace_handle = _open_trace(args.trace)
             if trace_handle is None:
                 return 1
             with trace_handle:
                 with tracing_session() as (tracer, metrics):
-                    from contextlib import nullcontext
-
-                    capture = (
+                    with (
                         profiled_phase("reduce", tracer=tracer)
-                        if profile_phases
+                        if args.profile_phases
                         else nullcontext()
-                    )
-                    with capture:
-                        result = generalized_binary_reduction(
-                            problem,
-                            require_true=target,
-                            speculate=speculate,
-                            probe_executor=probes,
-                        )
+                    ):
+                        result = run()
                 write_trace(
                     trace_handle, tracer, metrics, label=f"reduce {path}"
                 )
         else:
-            result = generalized_binary_reduction(
-                problem,
-                require_true=target,
-                speculate=speculate,
-                probe_executor=probes,
-            )
+            result = run()
     finally:
         if probes is not None:
             probes.shutdown(wait=True)
 
-    if json_output:
+    if args.json:
         payload = {
             "file": path,
-            "keep": sorted(keep),
+            "keep": sorted(args.keep),
             "total_items": len(variables),
             "kept_items": len(result.solution),
             "solution": sorted(str(v) for v in result.solution),
@@ -998,33 +909,7 @@ def _store_spec(
     return spec
 
 
-def _bench(
-    profile: str,
-    trace_path: Optional[str] = None,
-    json_output: bool = False,
-    store_path: Optional[str] = None,
-    num_benchmarks: Optional[int] = None,
-    corpus_jobs: int = 1,
-    worker_budget: Optional[int] = None,
-    results_path: Optional[str] = None,
-    corpus_dir: Optional[str] = None,
-    debloat: bool = False,
-    store_shards: Optional[int] = None,
-    store_max_entries: Optional[int] = None,
-    store_tenant: str = "",
-    budget_calls: Optional[int] = None,
-    budget_seconds: Optional[float] = None,
-    retries: int = 0,
-    deadline_seconds: Optional[float] = None,
-    keep_going: bool = False,
-    chaos: Optional[str] = None,
-    chaos_rate: float = 0.2,
-    chaos_seed: int = 2021,
-    speculate: int = 1,
-    probe_backend: str = "thread",
-    tool_latency_ms: float = 0.0,
-    profile_phases: bool = False,
-) -> int:
+def _bench(args: argparse.Namespace) -> int:
     """``bench``: the corpus through the one corpus engine.
 
     The report follows the run's inputs, never the job count: an
@@ -1046,107 +931,105 @@ def _bench(
     )
     from repro.parallel import run_corpus_experiment
     from repro.reduction import ReductionError
-    from repro.resilience import Budget, OracleCrash, TransientOracleError
+    from repro.resilience import OracleCrash, TransientOracleError
     from repro.workloads.corpus import (
         MANIFEST_NAME,
         CorpusConfig,
         build_corpus,
     )
 
-    if corpus_jobs < 0:
-        print(f"jlreduce: --corpus-jobs must be >= 0, got {corpus_jobs}",
-              file=sys.stderr)
+    if args.corpus_jobs < 0:
+        print(f"jlreduce: --corpus-jobs must be >= 0, got "
+              f"{args.corpus_jobs}", file=sys.stderr)
         return 1
-    if worker_budget is not None and worker_budget <= 0:
-        print(f"jlreduce: --worker-budget must be > 0, got {worker_budget}",
-              file=sys.stderr)
+    if args.worker_budget is not None and args.worker_budget <= 0:
+        print(f"jlreduce: --worker-budget must be > 0, got "
+              f"{args.worker_budget}", file=sys.stderr)
         return 1
-    if num_benchmarks is not None and num_benchmarks <= 0:
+    if args.num_benchmarks is not None and args.num_benchmarks <= 0:
         print(f"jlreduce: --num-benchmarks must be > 0, got "
-              f"{num_benchmarks}", file=sys.stderr)
+              f"{args.num_benchmarks}", file=sys.stderr)
         return 1
-    if corpus_dir is not None and not os.path.isfile(
-        os.path.join(corpus_dir, MANIFEST_NAME)
+    if args.corpus_dir is not None and not os.path.isfile(
+        os.path.join(args.corpus_dir, MANIFEST_NAME)
     ):
         print(
-            f"jlreduce: {corpus_dir}: no corpus manifest (persist one "
+            f"jlreduce: {args.corpus_dir}: no corpus manifest (persist one "
             "with 'jlreduce corpus generate' first)",
             file=sys.stderr,
         )
         return 1
     plan = None
-    if chaos is not None:
+    if args.chaos is not None:
         from repro.resilience import FaultPlan
 
         try:
-            plan = FaultPlan(kind=chaos, rate=chaos_rate, seed=chaos_seed)
+            plan = FaultPlan(
+                kind=args.chaos, rate=args.chaos_rate, seed=args.chaos_seed
+            )
         except ValueError as exc:
             print(f"jlreduce: {exc}", file=sys.stderr)
             return 1
-    if retries < 0:
-        print(f"jlreduce: --retries must be >= 0, got {retries}",
+    if args.retries < 0:
+        print(f"jlreduce: --retries must be >= 0, got {args.retries}",
               file=sys.stderr)
         return 1
-    if speculate < 1:
-        print(f"jlreduce: --speculate must be >= 1, got {speculate}",
-              file=sys.stderr)
-        return 1
-    if tool_latency_ms < 0:
+    if args.tool_latency_ms < 0:
         print(f"jlreduce: --tool-latency-ms must be >= 0, got "
-              f"{tool_latency_ms}", file=sys.stderr)
-        return 1
-    if profile_phases and not trace_path:
-        print("jlreduce: --profile-phases needs --trace (profiles are "
-              "recorded into the trace)", file=sys.stderr)
+              f"{args.tool_latency_ms}", file=sys.stderr)
         return 1
     try:
-        # Validate the budget/deadline values and the store once, up
-        # front, instead of per-instance deep inside the run.
-        Budget(max_calls=budget_calls, max_seconds=budget_seconds)
-        if deadline_seconds is not None and deadline_seconds <= 0:
+        # Validate the deadline and the store once, up front, instead
+        # of per-instance deep inside the run.
+        if args.deadline_seconds is not None and args.deadline_seconds <= 0:
             raise ValueError(
-                f"--deadline-seconds must be > 0, got {deadline_seconds}"
+                f"--deadline-seconds must be > 0, got {args.deadline_seconds}"
             )
-        store_spec = _store_spec(store_path, store_shards, store_max_entries)
+        store_spec = _store_spec(
+            args.store, args.store_shards, args.store_max_entries
+        )
     except ValueError as exc:
         print(f"jlreduce: {exc}", file=sys.stderr)
         return 1
     experiment = ExperimentConfig(
-        budget_calls=budget_calls,
-        budget_seconds=budget_seconds,
-        retries=retries,
-        deadline_seconds=deadline_seconds,
-        keep_going=keep_going,
+        budget_calls=args.budget_calls,
+        budget_seconds=args.budget_seconds,
+        retries=args.retries,
+        deadline_seconds=args.deadline_seconds,
+        keep_going=args.keep_going,
         chaos=plan,
-        speculate=speculate,
-        probe_backend=probe_backend,
-        tool_latency_seconds=tool_latency_ms / 1000.0,
-        profile_phases=profile_phases,
-        tenant=store_tenant,
-        worker_budget=worker_budget,
+        speculate=args.speculate,
+        probe_backend=args.probe_backend,
+        tool_latency_seconds=args.tool_latency_ms / 1000.0,
+        profile_phases=args.profile_phases,
+        tenant=args.store_tenant,
+        worker_budget=args.worker_budget,
     )
     progress = (
-        None if json_output else lambda line: print(f"  {line}")
+        None if args.json else lambda line: print(f"  {line}")
     )
 
-    row_groups = corpus_dir is not None or debloat
+    row_groups = args.corpus_dir is not None or args.debloat
     corpus = None
-    if corpus_dir is not None:
-        source = {"corpus_path": corpus_dir, "include_debloat": debloat}
+    if args.corpus_dir is not None:
+        source = {
+            "corpus_path": args.corpus_dir,
+            "include_debloat": args.debloat,
+        }
     else:
         config = {
             "paper": CorpusConfig.paper,
             "njr": CorpusConfig.njr,
             "small": CorpusConfig.small,
-        }[profile]()
-        if num_benchmarks is not None:
+        }[args.profile]()
+        if args.num_benchmarks is not None:
             from dataclasses import replace
 
-            config = replace(config, num_benchmarks=num_benchmarks)
-        if not json_output:
-            print(f"building corpus ({profile} profile) ...")
+            config = replace(config, num_benchmarks=args.num_benchmarks)
+        if not args.json:
+            print(f"building corpus ({args.profile} profile) ...")
         corpus = build_corpus(config)
-        if debloat:
+        if args.debloat:
             from repro.workloads.debloat import add_debloat_instances
 
             add_debloat_instances(corpus)
@@ -1154,15 +1037,15 @@ def _bench(
     report = StreamingReport() if row_groups else None
 
     def run():
-        if not (json_output or row_groups):
+        if not (args.json or row_groups):
             from repro.harness import corpus_statistics, render_statistics
 
             print(render_statistics(corpus_statistics(corpus)))
             print("\nrunning strategies ...")
         with ExitStack() as stack:
             writer = (
-                stack.enter_context(ResultsWriter(results_path))
-                if results_path
+                stack.enter_context(ResultsWriter(args.results))
+                if args.results
                 else None
             )
 
@@ -1175,25 +1058,25 @@ def _bench(
             return run_corpus_experiment(
                 config=experiment,
                 progress=progress,
-                jobs=corpus_jobs,
+                jobs=args.corpus_jobs,
                 store_spec=store_spec,
                 on_outcome=on_outcome,
-                collect=json_output or not row_groups,
+                collect=args.json or not row_groups,
                 **source,
             )
 
     def session():
-        if not trace_path:
+        if not args.trace:
             return run()
-        handle = _open_trace(trace_path)
+        handle = _open_trace(args.trace)
         if handle is None:
             return None
-        if corpus_jobs == 1:
+        if args.corpus_jobs == 1:
             with handle:
                 with tracing_session() as (tracer, metrics):
                     result = run()
                 write_trace(
-                    handle, tracer, metrics, label=f"bench {profile}"
+                    handle, tracer, metrics, label=f"bench {args.profile}"
                 )
             return result
         # Worker processes: stream per-worker shard files next to the
@@ -1203,7 +1086,7 @@ def _bench(
         handle.close()
         run_id = new_run_id()
         with ShardSet(
-            trace_path, run_id=run_id, label=f"bench {profile}"
+            args.trace, run_id=run_id, label=f"bench {args.profile}"
         ) as shards:
             with tracing_session(
                 run_id=run_id, shards=shards
@@ -1226,11 +1109,11 @@ def _bench(
     if outcomes is None:
         return 1
 
-    if json_output:
+    if args.json:
         from dataclasses import asdict
 
         payload = {
-            "profile": profile,
+            "profile": args.profile,
             "outcomes": [asdict(outcome) for outcome in outcomes],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -50,8 +50,7 @@ from repro.reduction.gbr import generalized_binary_reduction
 from repro.reduction.lossy import LossyVariant, lossy_reduce
 from repro.reduction.predicate import InstrumentedPredicate
 from repro.reduction.problem import ReductionProblem, Stopwatch
-from repro.resilience import Budget, FaultPlan, ResilientPredicate
-from repro.resilience.faults import derive_seed
+from repro.resilience import Budget, FaultPlan
 from repro.decompiler.oracle import build_reduction_problem
 from repro.workloads.corpus import Benchmark, BuggyInstance
 
@@ -139,16 +138,6 @@ class ExperimentConfig:
     #: ``speculate`` workers, which deliberately oversubscribes CPUs to
     #: overlap external tool latency.  Set it on CPU-bound runs.
     worker_budget: Optional[int] = None
-
-    @property
-    def wants_resilience(self) -> bool:
-        """Does any knob require the ResilientPredicate layer?"""
-        return (
-            self.budget_calls is not None
-            or self.budget_seconds is not None
-            or self.retries > 0
-            or self.deadline_seconds is not None
-        )
 
 
 #: ExperimentConfig fields a service job payload may carry / override.
@@ -305,7 +294,8 @@ def run_instance(
     Resilience: ``config.chaos`` wraps the raw oracle in a seeded fault
     injector; budgets/retries/deadlines wrap it in a
     :class:`~repro.resilience.ResilientPredicate` (each run gets a
-    fresh per-run :class:`~repro.resilience.Budget`).  When
+    fresh per-run :class:`~repro.resilience.Budget`); both come from
+    :func:`repro.parallel.procpool.build_oracle_chain`.  When
     ``config.keep_going`` is set, any exception escaping the strategy —
     an unrecoverable oracle crash, retry exhaustion, a broken encoding
     — is recorded as an error-marked outcome instead of propagating.
@@ -413,39 +403,34 @@ def _run_instance_inner(
             f"{strategy}:{granularity}"
         )
 
-    def _resilient(raw, granularity: str):
-        """Layer tool latency, chaos, and fault handling under the cache."""
-        key = _chaos_key(granularity)
-        wrapped = raw
-        if config.tool_latency_seconds > 0:
-            from repro.parallel.procpool import ToolLatencyPredicate
+    # Lazy import: repro.parallel pulls in the corpus engine, which
+    # imports this module.
+    from repro.parallel.procpool import ProbeTaskSpec, build_oracle_chain
 
-            wrapped = ToolLatencyPredicate(
-                wrapped, config.tool_latency_seconds
-            )
-        if config.chaos is not None:
-            wrapped = config.chaos.apply(wrapped, key)
-        if config.wants_resilience or config.chaos is not None:
-            budget = Budget(
-                max_calls=config.budget_calls,
-                max_seconds=config.budget_seconds,
-                seconds_per_call=config.simulated_seconds_per_run,
-            )
-            wrapped = ResilientPredicate(
-                wrapped,
-                budget=budget,
-                retries=config.retries,
-                deadline_seconds=config.deadline_seconds,
-                seed=derive_seed(0, key),
-            )
-        return wrapped
+    def _knobs(granularity: str) -> Dict[str, Any]:
+        """The chain knobs the parent chain and a worker replica share."""
+        return {
+            "chaos": config.chaos,
+            "chaos_key": _chaos_key(granularity),
+            "retries": config.retries,
+            "deadline_seconds": config.deadline_seconds,
+            "tool_latency_seconds": config.tool_latency_seconds,
+        }
+
+    def _chain(raw, granularity: str):
+        """Tool latency, chaos, and fault handling under the cache."""
+        budget = Budget(
+            max_calls=config.budget_calls,
+            max_seconds=config.budget_seconds,
+            seconds_per_call=config.simulated_seconds_per_run,
+        )
+        return build_oracle_chain(raw, budget=budget, **_knobs(granularity))
 
     def _task_spec(granularity: str):
         """The picklable probe recipe for the process backend, or None.
 
-        Workers rebuild the same chain :func:`_resilient` layers here —
-        oracle, tool latency, chaos, retries/deadline — from this spec
-        (see :func:`repro.parallel.procpool.build_worker_predicate`).
+        Workers rebuild the chain from the same knobs :func:`_chain`
+        uses (see :func:`repro.parallel.procpool.build_worker_predicate`).
         Budgets stay parent-side: a limiting budget serializes
         speculation before any task reaches the pool.
         """
@@ -454,19 +439,13 @@ def _run_instance_inner(
         if getattr(instance, "scenario", "reduction") != "reduction":
             # Worker processes rebuild predicates from decompiler names;
             # scenario oracles (debloat) have no registry entry, so
-            # their probes stay in-parent (thread-pool semantics).
+            # their probes run inline in the parent.
             return None
-        from repro.parallel.procpool import ProbeTaskSpec
-
         return ProbeTaskSpec(
             app_bytes=serialize_application(app),
             decompiler=instance.decompiler,
             granularity=granularity,
-            chaos=config.chaos,
-            chaos_key=_chaos_key(granularity),
-            retries=config.retries,
-            deadline_seconds=config.deadline_seconds,
-            tool_latency_seconds=config.tool_latency_seconds,
+            **_knobs(granularity),
         )
 
     # The run's virtual clock, installed on the tracer before the
@@ -490,7 +469,7 @@ def _run_instance_inner(
         if strategy == "jreduce":
             with tracer.span("instance.setup", strategy=strategy):
                 instrumented = InstrumentedPredicate(
-                    _resilient(oracle.class_predicate, "class"),
+                    _chain(oracle.class_predicate, "class"),
                     cost_per_call=config.simulated_seconds_per_run,
                     size_of=serializer.size_of_classes,
                     store=store,
@@ -526,7 +505,7 @@ def _run_instance_inner(
                 else:
                     problem = build_reduction_problem(app, oracle.decompiler)
                 instrumented = InstrumentedPredicate(
-                    _resilient(problem.predicate, "item"),
+                    _chain(problem.predicate, "item"),
                     cost_per_call=config.simulated_seconds_per_run,
                     size_of=serializer.size_of_items,
                     store=store,

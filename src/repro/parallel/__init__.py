@@ -28,7 +28,9 @@ axes:
   order so results stay byte-identical to sequential runs,
 - :mod:`repro.parallel.procpool` — the ``--probe-backend process``
   pool: fresh physical probes run in spawn-safe worker processes that
-  rebuild the predicate chain from a picklable :class:`ProbeTaskSpec`,
+  rebuild the predicate chain from a picklable :class:`ProbeTaskSpec`
+  through :func:`build_oracle_chain` (the one builder of the tool-
+  latency → chaos → retries/deadline/budget chain, parent-side too),
   beating the GIL on the pure-Python probe work the thread pool cannot
   overlap; the parent commits results serially, so outcomes stay
   byte-identical across backends.
@@ -44,6 +46,7 @@ from repro.parallel.procpool import (
     ProbeTaskSpec,
     ProcessProbePool,
     ToolLatencyPredicate,
+    build_oracle_chain,
     build_worker_predicate,
 )
 from repro.parallel.scheduler import (
@@ -80,6 +83,7 @@ __all__ = [
     "StoreSpec",
     "ToolLatencyPredicate",
     "WorkerBudget",
+    "build_oracle_chain",
     "build_worker_predicate",
     "candidate_midpoints",
     "close_worker_caches",

@@ -16,8 +16,10 @@ The contract (DESIGN.md §10) has three parts:
   trips exactly), the decompiler *name* (resolved via
   ``get_decompiler``), the granularity, and the resilience knobs
   (seeded :class:`~repro.resilience.faults.FaultPlan`, retries,
-  deadline, tool latency).  Workers cache the rebuilt chain per spec,
-  so one pickle+rebuild amortizes over every probe of a run.  Probe
+  deadline, tool latency).  Workers layer those knobs with
+  :func:`build_oracle_chain` — the one builder the parent's chains
+  (harness and CLI) come from too — and cache the rebuilt chain per
+  spec, so one pickle+rebuild amortizes over every probe of a run.  Probe
   *inputs* are frozensets of the frozen item dataclasses from
   :mod:`repro.bytecode.items` — picklable by construction — plus the
   picklable :class:`~repro.observability.context.TraceContext` payload
@@ -31,14 +33,15 @@ The contract (DESIGN.md §10) has three parts:
   :meth:`~repro.observability.spans.Tracer.adopt`.
 - **Serial commit.**  The parent —
   :meth:`~repro.reduction.predicate.InstrumentedPredicate
-  .evaluate_batch` — commits results in serial index order exactly as
-  the thread backend does: cache writes, store write-back (the
-  persistent cache tier of :mod:`repro.parallel.store` stays entirely
-  parent-side — workers never open the store, so its single-``os.write``
-  shard-append discipline holds per parent process), virtual
-  clock, and the probe provenance ledger all evolve as if the round
-  had been issued sequentially, so results stay byte-identical across
-  ``--probe-backend {thread,process}`` and sequential runs.
+  .evaluate_batch` — commits results through the one commit loop every
+  backend (inline, thread, process) shares: cache writes, store
+  write-back (the persistent cache tier of :mod:`repro.parallel.store`
+  stays entirely parent-side — workers never open the store, so its
+  single-``os.write`` shard-append discipline holds per parent
+  process), virtual clock, and the probe provenance ledger all evolve
+  as if the round had been issued sequentially, so results stay
+  byte-identical across ``--probe-backend {thread,process}`` and
+  sequential runs.
 
 Chaos parity: a worker rebuilds its *own* seeded fault injector (same
 derived seed, fresh call counter), so the per-call fault schedule is
@@ -69,13 +72,16 @@ from typing import (
     Optional,
 )
 
+from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultPlan, derive_seed
+from repro.resilience.predicate import ResilientPredicate
 
 __all__ = [
     "ProbeTaskSpec",
     "ProbeResult",
     "ProcessProbePool",
     "ToolLatencyPredicate",
+    "build_oracle_chain",
     "build_worker_predicate",
     "worker_label",
 ]
@@ -104,6 +110,48 @@ class ToolLatencyPredicate:
     def __call__(self, sub_input: FrozenSet[VarName]) -> bool:
         time.sleep(self.latency_seconds)
         return self._predicate(sub_input)
+
+
+def build_oracle_chain(
+    raw: Predicate,
+    *,
+    tool_latency_seconds: float = 0.0,
+    chaos: Optional[FaultPlan] = None,
+    chaos_key: str = "",
+    retries: int = 0,
+    deadline_seconds: Optional[float] = None,
+    budget: Optional[Budget] = None,
+) -> Predicate:
+    """The one oracle chain below the cache layer, innermost first.
+
+    raw oracle → :class:`ToolLatencyPredicate` (when the latency is
+    positive) → the seeded chaos injector (when ``chaos`` is set) →
+    :class:`~repro.resilience.ResilientPredicate` (when chaos, retries,
+    a deadline or a limiting ``budget`` needs one; ``budget`` defaults
+    to a fresh unlimited one).  ``chaos_key`` seeds both the injector
+    and the retry jitter, so a worker replica built from the same
+    knobs is seeded exactly like the parent's chain.
+    """
+    budget = budget if budget is not None else Budget()
+    wrapped = raw
+    if tool_latency_seconds > 0:
+        wrapped = ToolLatencyPredicate(wrapped, tool_latency_seconds)
+    if chaos is not None:
+        wrapped = chaos.apply(wrapped, chaos_key)
+    if (
+        chaos is not None
+        or retries > 0
+        or deadline_seconds is not None
+        or budget.limited
+    ):
+        wrapped = ResilientPredicate(
+            wrapped,
+            budget=budget,
+            retries=retries,
+            deadline_seconds=deadline_seconds,
+            seed=derive_seed(0, chaos_key),
+        )
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -174,11 +222,10 @@ class ProbeResult:
 def build_worker_predicate(spec: ProbeTaskSpec) -> Predicate:
     """Rebuild the parent's predicate chain (below the cache) from a spec.
 
-    Mirrors ``repro.harness.experiments._run_instance_inner`` layer for
-    layer: raw oracle → tool latency → chaos injector →
-    :class:`~repro.resilience.ResilientPredicate` (fresh unlimited
-    budget — a *limiting* budget never reaches this backend, because
-    ``speculation_allowed`` serializes it).  The
+    The raw oracle comes from the spec; the layers above it come from
+    :func:`build_oracle_chain`, the same builder the parent uses, with
+    a fresh unlimited budget — a *limiting* budget never reaches this
+    backend, because ``speculation_allowed`` serializes it.  The
     :class:`~repro.reduction.predicate.InstrumentedPredicate` layer
     stays parent-side: memoization, the store, and the clocks are
     committed serially there.
@@ -196,26 +243,14 @@ def build_worker_predicate(spec: ProbeTaskSpec) -> Predicate:
             if spec.granularity == "item"
             else oracle.class_predicate
         )
-    wrapped: Predicate = raw
-    if spec.tool_latency_seconds > 0:
-        wrapped = ToolLatencyPredicate(wrapped, spec.tool_latency_seconds)
-    if spec.chaos is not None:
-        wrapped = spec.chaos.apply(wrapped, spec.chaos_key)
-    if (
-        spec.chaos is not None
-        or spec.retries > 0
-        or spec.deadline_seconds is not None
-    ):
-        from repro.resilience import Budget, ResilientPredicate
-
-        wrapped = ResilientPredicate(
-            wrapped,
-            budget=Budget(),
-            retries=spec.retries,
-            deadline_seconds=spec.deadline_seconds,
-            seed=derive_seed(0, spec.chaos_key),
-        )
-    return wrapped
+    return build_oracle_chain(
+        raw,
+        tool_latency_seconds=spec.tool_latency_seconds,
+        chaos=spec.chaos,
+        chaos_key=spec.chaos_key,
+        retries=spec.retries,
+        deadline_seconds=spec.deadline_seconds,
+    )
 
 
 def worker_label() -> str:

@@ -24,14 +24,17 @@ store; fresh outcomes are written back.  Store hits count as cache hits,
 not calls, so a warm store makes repeat runs cost zero fresh predicate
 invocations.
 
-Batch backends: :meth:`evaluate_batch` runs one speculative round's
-fresh probes on either a thread pool (the wrapped predicate itself, on
-pool threads) or — given a ``task_spec`` and a
-:class:`~repro.parallel.procpool.ProcessProbePool` — on worker
-*processes* that rebuild the chain from the picklable spec.  Either way
-the outcomes are committed parent-side in serial index order, so
-results, clocks, store writes, and the provenance ledger stay
-byte-identical across backends (see DESIGN.md §10).
+One probe path: a single query (:meth:`InstrumentedPredicate.__call__`)
+is a batch of one.  It and :meth:`evaluate_batch` (one speculative
+round) both run ``_probe``: memo, store read-through, the fresh probes,
+then one serial commit.  The fresh probes run inline on the calling
+thread (no executor), on a thread pool, or — given a ``task_spec`` and
+a :class:`~repro.parallel.procpool.ProcessProbePool` — on worker
+*processes* that rebuild the chain from the picklable spec; a process
+pool without a spec runs them inline.  Every backend commits
+parent-side in serial index order, so results, clocks, store writes,
+and the provenance ledger stay byte-identical across backends (see
+DESIGN.md §10).
 
 Telemetry: every query also feeds the active metrics registry
 (``predicate.calls`` / ``predicate.queries`` / ``predicate.cache_hits``
@@ -45,9 +48,10 @@ a store hit, never a memo hit — additionally lands one entry in the
 probe provenance ledger (:mod:`repro.observability.provenance`): cache
 status, outcome, both clocks' costs, speculation round/batch position
 (from the active :func:`~repro.observability.provenance.probe_scope`),
-and per-probe resilience/budget deltas read off the wrapped predicate
-chain.  Memo hits stay counter-only; they dominate the hot path and
-per-event records would blow the tracing-overhead budget.
+and, for probes run inline, per-probe resilience/budget deltas read off
+the wrapped predicate chain.  Memo hits stay counter-only; they dominate
+the hot path and per-event records would blow the tracing-overhead
+budget.
 """
 
 from __future__ import annotations
@@ -184,8 +188,9 @@ class InstrumentedPredicate:
         task_spec: optional picklable
             :class:`~repro.parallel.procpool.ProbeTaskSpec` describing
             how a worker *process* rebuilds this predicate's chain;
-            required for :meth:`evaluate_batch` to accept a
-            :class:`~repro.parallel.procpool.ProcessProbePool`.
+            without one, :meth:`evaluate_batch` runs a
+            :class:`~repro.parallel.procpool.ProcessProbePool` round's
+            fresh probes inline.
     """
 
     def __init__(
@@ -220,69 +225,14 @@ class InstrumentedPredicate:
 
     def __call__(self, sub_input: FrozenSet[VarName]) -> bool:
         sub_input = frozenset(sub_input)
-        metrics = get_metrics()
-        self.queries += 1
-        metrics.counter("predicate.queries").inc()
         cached = self._cache.get(sub_input)
-        if cached is not None:
-            metrics.counter("predicate.cache_hits").inc()
-            return cached
-        tracer = get_tracer()
-        if self._store is not None:
-            stored = self._store.lookup(self._fingerprint, sub_input)
-            if stored is None:
-                metrics.counter("predicate.store_misses").inc()
-            else:
-                self.store_hits += 1
-                metrics.counter("predicate.cache_hits").inc()
-                metrics.counter("predicate.store_hits").inc()
-                self._cache[sub_input] = stored
-                if stored:
-                    self._note_success(sub_input)
-                if tracer.enabled:
-                    tracer.event(
-                        "probe",
-                        key=_probe_key(sub_input, self._key_cache),
-                        cache="store",
-                        outcome=stored,
-                        wall_seconds=0.0,
-                        virtual_charge=0.0,
-                        **current_probe_fields(),
-                    )
-                return stored
-        before_stats = _chain_stats(self._predicate) if tracer.enabled else {}
-        with tracer.span("predicate.call", size=len(sub_input)) as sp:
-            before = time.perf_counter()
-            outcome = self._predicate(sub_input)
-            sp.set_attr("outcome", outcome)
-        latency = time.perf_counter() - before
-        # Counted only after the call returns: an invocation that raises
-        # (budget exhausted, unrecoverable oracle crash) never ran to
-        # completion, so it must not inflate the fresh-call counter or
-        # the virtual clock that anytime partial results are judged by.
-        self.calls += 1
-        metrics.counter("predicate.calls").inc()
-        self.virtual_clock += self._cost_per_call
-        metrics.counter("predicate.virtual_seconds").inc(self._cost_per_call)
-        metrics.histogram("predicate.latency_seconds").observe(latency)
-        if tracer.enabled:
-            tracer.event(
-                "probe",
-                span_id=sp.span_id,
-                key=_probe_key(sub_input, self._key_cache),
-                cache="fresh",
-                outcome=outcome,
-                wall_seconds=latency,
-                virtual_charge=self._cost_per_call,
-                **current_probe_fields(),
-                **_stat_deltas(before_stats, _chain_stats(self._predicate)),
-            )
-        self._cache[sub_input] = outcome
-        if self._store is not None:
-            self._store.record(self._fingerprint, sub_input, outcome)
-        if outcome:
-            self._note_success(sub_input)
-        return outcome
+        if cached is None:
+            return self._probe((sub_input,), None, batched=False)[0]
+        self.queries += 1
+        metrics = get_metrics()
+        metrics.counter("predicate.queries").inc()
+        metrics.counter("predicate.cache_hits").inc()
+        return cached
 
     def peek(self, sub_input: FrozenSet[VarName]) -> Optional[bool]:
         """The in-memory cached outcome for a sub-input, or None.
@@ -301,11 +251,12 @@ class InstrumentedPredicate:
     ) -> List[bool]:
         """Evaluate one speculative round of sub-inputs concurrently.
 
-        Cache and store hits are counted exactly as in :meth:`__call__`.
-        Fresh outcomes run on ``executor`` and are *committed in serial
-        order* (index 0 first), so the cache, call counters, store
-        writes, and best-so-far evolve as if the round had been issued
-        sequentially — with two deliberate exceptions:
+        Cache and store hits are counted exactly as in :meth:`__call__`
+        (both run :meth:`_probe`).  Fresh outcomes run on ``executor``
+        and are *committed in serial order* (index 0 first), so the
+        cache, call counters, store writes, and best-so-far evolve as if
+        the round had been issued sequentially — with two deliberate
+        exceptions:
 
         - the virtual clock advances by ``cost_per_call`` **once per
           round**, booked on the round's first *committed* fresh
@@ -332,10 +283,25 @@ class InstrumentedPredicate:
         processes; their returned metrics deltas are merged into the
         active registry and their span payloads re-emitted via
         ``Tracer.adopt``, in serial order, before the common commit
-        loop runs.  Either backend commits through the same loop, so
-        results are byte-identical across backends.
+        loop runs.  Without an executor, or with a process pool but no
+        ``task_spec`` (scenario oracles have no picklable recipe), the
+        fresh probes run inline on the calling thread, in serial order.
+        Every backend commits through the same loop, so results are
+        byte-identical across backends.
         """
-        inputs = [frozenset(s) for s in sub_inputs]
+        return self._probe([frozenset(s) for s in sub_inputs], executor)
+
+    def _probe(
+        self,
+        inputs: Sequence[FrozenSet[VarName]],
+        executor,
+        batched: bool = True,
+    ) -> List[bool]:
+        """The one probe path: memo, store read-through, run, commit.
+
+        ``batched`` tags every ledger entry with its ``batch_pos``;
+        a single :meth:`__call__` probe carries none.
+        """
         results: List[Optional[bool]] = [None] * len(inputs)
         fresh: List[Tuple[int, FrozenSet[VarName]]] = []
         pending: Dict[FrozenSet[VarName], int] = {}
@@ -344,7 +310,7 @@ class InstrumentedPredicate:
         tracer = get_tracer()
         # Captured once on the issuing thread: the speculation engine's
         # probe_scope (round number) annotates every ledger entry this
-        # round commits, even though the calls run on pool threads.
+        # round commits, even though the calls may run on pool threads.
         scope = current_probe_fields() if tracer.enabled else {}
         for position, sub_input in enumerate(inputs):
             self.queries += 1
@@ -373,32 +339,67 @@ class InstrumentedPredicate:
                         self._note_success(sub_input)
                     results[position] = stored
                     if tracer.enabled:
-                        tracer.event(
-                            "probe",
-                            key=_probe_key(sub_input, self._key_cache),
-                            cache="store",
-                            outcome=stored,
-                            wall_seconds=0.0,
-                            virtual_charge=0.0,
-                            batch_pos=position,
-                            **scope,
+                        self._ledger(
+                            tracer, sub_input, position if batched else None,
+                            scope, cache="store", outcome=stored,
+                            wall_seconds=0.0, virtual_charge=0.0,
                         )
                     continue
             pending[sub_input] = position
             fresh.append((position, sub_input))
 
         if fresh:
-            if hasattr(executor, "submit_probe"):
+            submit_probe = getattr(executor, "submit_probe", None)
+            if submit_probe is not None and self._task_spec is not None:
                 settled = self._execute_fresh_process(fresh, executor, tracer)
+            elif executor is None or submit_probe is not None:
+                settled = self._execute_fresh_inline(fresh, tracer)
             else:
                 settled = self._execute_fresh_threads(
                     fresh, executor, tracer, metrics
                 )
-            self._commit_settled(settled, results, tracer, metrics, scope)
+            self._commit_settled(
+                settled, results, tracer, metrics, scope, batched
+            )
 
         for position, source in aliases:
             results[position] = results[source]
         return [bool(r) for r in results]
+
+    def _execute_fresh_inline(self, fresh, tracer):
+        """Run fresh probes on the calling thread, in serial order.
+
+        Each probe gets its own ``predicate.call`` span, and its ledger
+        entry carries that ``span_id`` plus the per-probe resilience and
+        budget deltas read off the chain (exact here: nothing else runs
+        the chain in between).  A raising probe ends the round — a
+        sequential run would never issue the later ones.
+        """
+        settled = []
+        for position, sub_input in fresh:
+            before_stats = (
+                _chain_stats(self._predicate) if tracer.enabled else {}
+            )
+            try:
+                with tracer.span("predicate.call", size=len(sub_input)) as sp:
+                    before = time.perf_counter()
+                    outcome = self._predicate(sub_input)
+                    sp.set_attr("outcome", outcome)
+            except BaseException as exc:  # noqa: BLE001 — re-raised on commit
+                settled.append((position, sub_input, None, 0.0, exc, {}))
+                break
+            latency = time.perf_counter() - before
+            fields = {}
+            if tracer.enabled:
+                after_stats = _chain_stats(self._predicate)
+                fields = {
+                    "span_id": sp.span_id,
+                    **_stat_deltas(before_stats, after_stats),
+                }
+            settled.append(
+                (position, sub_input, outcome, latency, None, fields)
+            )
+        return settled
 
     def _execute_fresh_threads(self, fresh, executor, tracer, metrics):
         """Run fresh probes on a thread pool (the wrapped chain itself)."""
@@ -436,9 +437,11 @@ class InstrumentedPredicate:
         for position, sub_input, future in futures:
             try:
                 outcome, latency = future.result()
-                settled.append((position, sub_input, outcome, latency, None))
+                settled.append(
+                    (position, sub_input, outcome, latency, None, {})
+                )
             except BaseException as exc:  # noqa: BLE001 — re-raised on commit
-                settled.append((position, sub_input, None, 0.0, exc))
+                settled.append((position, sub_input, None, 0.0, exc, {}))
         return settled
 
     def _execute_fresh_process(self, fresh, executor, tracer):
@@ -450,13 +453,8 @@ class InstrumentedPredicate:
         metrics deltas and span payloads are folded into the parent's
         registry/tracer here, in serial order, so the merged telemetry
         is deterministic — the outcomes themselves go through the same
-        commit loop as the thread backend.
+        commit loop as the other backends.
         """
-        if self._task_spec is None:
-            raise ValueError(
-                "a process probe pool needs an InstrumentedPredicate "
-                "built with task_spec= (the picklable chain recipe)"
-            )
         ctx_payload = None
         if tracer.enabled:
             ctx_payload = {
@@ -478,7 +476,7 @@ class InstrumentedPredicate:
             try:
                 probe = future.result()
             except BaseException as exc:  # noqa: BLE001 — pool infrastructure
-                settled.append((position, sub_input, None, 0.0, exc))
+                settled.append((position, sub_input, None, 0.0, exc, {}))
                 continue
             settled.append(
                 (
@@ -487,6 +485,7 @@ class InstrumentedPredicate:
                     probe.outcome,
                     probe.wall_seconds,
                     probe.error,
+                    {},
                 )
             )
             # Counters moved in the worker (retries, timeouts, oracle
@@ -500,18 +499,22 @@ class InstrumentedPredicate:
                     tracer.adopt(payload)
         return settled
 
-    def _commit_settled(self, settled, results, tracer, metrics, scope):
+    def _commit_settled(
+        self, settled, results, tracer, metrics, scope, batched
+    ):
         """Commit one round's fresh outcomes in serial index order.
 
-        The round's single ``cost_per_call`` virtual charge is booked
-        on the first *committed* fresh outcome — a round whose lowest-
-        index fresh probe raised charges nothing, exactly like the
-        sequential run it must mirror.  On an error, completed later-
-        in-order probes are discarded uncommitted but still emit a
-        ``discarded=true`` ledger event (one event per physical probe).
+        ``settled`` holds ``(position, sub_input, outcome, latency,
+        error, ledger_fields)`` per fresh probe.  The round's single
+        ``cost_per_call`` virtual charge is booked on the first
+        *committed* fresh outcome — a round whose lowest-index fresh
+        probe raised charges nothing, exactly like the sequential run it
+        must mirror.  On an error, completed later-in-order probes are
+        discarded uncommitted but still emit a ``discarded=true`` ledger
+        event (one event per physical probe).
         """
         charged = False
-        for index, (position, sub_input, outcome, latency, error) in (
+        for index, (position, sub_input, outcome, latency, error, fields) in (
             enumerate(settled)
         ):
             if error is not None:
@@ -522,19 +525,16 @@ class InstrumentedPredicate:
                         later_outcome,
                         later_latency,
                         later_error,
+                        _,
                     ) in settled[index + 1:]:
                         if later_error is not None:
                             continue
-                        tracer.event(
-                            "probe",
-                            key=_probe_key(later_input, self._key_cache),
-                            cache="fresh",
-                            outcome=later_outcome,
-                            wall_seconds=later_latency,
-                            virtual_charge=0.0,
-                            batch_pos=later_position,
+                        self._ledger(
+                            tracer, later_input,
+                            later_position if batched else None, scope,
+                            cache="fresh", outcome=later_outcome,
+                            wall_seconds=later_latency, virtual_charge=0.0,
                             discarded=True,
-                            **scope,
                         )
                 raise error
             self.calls += 1
@@ -558,19 +558,26 @@ class InstrumentedPredicate:
             results[position] = outcome
             if tracer.enabled:
                 # Committed (hence emitted) in serial order, so the
-                # merged ledger reads like a sequential run.  Per-probe
-                # resilience deltas are skipped here — concurrent
-                # attempts make bracketing snapshots racy.
-                tracer.event(
-                    "probe",
-                    key=_probe_key(sub_input, self._key_cache),
-                    cache="fresh",
-                    outcome=outcome,
-                    wall_seconds=latency,
-                    virtual_charge=round_charge,
-                    batch_pos=position,
-                    **scope,
+                # merged ledger reads like a sequential run.  Only the
+                # inline backend supplies per-probe resilience deltas —
+                # concurrent attempts make bracketing snapshots racy.
+                self._ledger(
+                    tracer, sub_input, position if batched else None,
+                    scope, cache="fresh", outcome=outcome,
+                    wall_seconds=latency, virtual_charge=round_charge,
+                    **fields,
                 )
+
+    def _ledger(self, tracer, sub_input, position, scope, **fields) -> None:
+        """Emit one probe-ledger event (``batch_pos`` unless None)."""
+        if position is not None:
+            fields["batch_pos"] = position
+        tracer.event(
+            "probe",
+            key=_probe_key(sub_input, self._key_cache),
+            **fields,
+            **scope,
+        )
 
     def _note_success(self, sub_input: FrozenSet[VarName]) -> None:
         size = self._size_of(sub_input)

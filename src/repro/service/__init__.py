@@ -12,7 +12,7 @@ over one shared warm predicate store, tenant-namespaced.
   (workload spec or serialized app bytes) bridged to PR 9's picklable
   :class:`InstanceTaskSpec`, and the queued → running → done lifecycle.
 - :mod:`repro.service.admission` — per-tenant admission control:
-  quotas via :class:`repro.resilience.admission.AdmissionBudget`,
+  quotas as one latched :class:`repro.resilience.Budget` per tenant,
   bounded queues with retry-after backpressure, stride-scheduled
   weighted fair dispatch.
 - :mod:`repro.service.server` — the service core (dispatch loop,

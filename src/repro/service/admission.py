@@ -3,12 +3,13 @@
 The front door of the service tier.  Every tenant gets three shields —
 and every other tenant gets shielded *from* them:
 
-- **Quota** — an :class:`~repro.resilience.admission.AdmissionBudget`
-  per tenant (PR 3's latched ``Budget`` underneath): ``max_jobs``
-  caps admissions outright, ``max_seconds`` caps the cumulative
-  *simulated* seconds the tenant's completed jobs burn.  Exhaustion
-  latches per tenant instance, so one tenant hammering its cap can
-  never flip another tenant's budget.
+- **Quota** — one latched :class:`~repro.resilience.budget.Budget`
+  per tenant: ``max_jobs`` caps admissions outright (each admission
+  spends one call), ``max_seconds`` caps the cumulative *simulated*
+  seconds the tenant's completed jobs burn (charged at completion; an
+  over-spend latches the budget and refuses the *next* submission,
+  never the finished job).  Exhaustion latches per tenant instance, so
+  one tenant hammering its cap can never flip another tenant's budget.
 - **Backpressure** — a bounded per-tenant queue: once
   ``max_queue_depth`` jobs wait, further submissions are refused with
   a retry-after estimate (depth × observed mean service time ÷
@@ -33,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.resilience.admission import AdmissionBudget
+from repro.reduction.problem import BudgetExhausted
+from repro.resilience.budget import Budget
 from repro.service.jobs import Job
 
 __all__ = ["Admission", "AdmissionController", "TenantPolicy"]
@@ -73,8 +75,8 @@ class _TenantState:
         self.name = name
         self.policy = policy
         self.queue: Deque[Job] = deque()
-        self.budget = AdmissionBudget(
-            max_jobs=policy.max_jobs, max_seconds=policy.max_seconds
+        self.budget = Budget(
+            max_calls=policy.max_jobs, max_seconds=policy.max_seconds
         )
         self.pass_value = 0.0
         self.admitted = 0
@@ -142,13 +144,15 @@ class AdmissionController:
                     ),
                     retry_after=self._retry_after(len(tenant.queue)),
                 )
-            refusal = tenant.budget.try_admit()
-            if refusal is not None:
+            try:
+                # A refused admission charges nothing and latches.
+                tenant.budget.spend_call()
+            except BudgetExhausted as exc:
                 tenant.rejected["quota"] += 1
                 return Admission(
                     admitted=False,
                     reason="quota",
-                    detail=f"tenant {tenant.name!r}: {refusal}",
+                    detail=f"tenant {tenant.name!r}: {exc}",
                     # A latched quota never un-latches; the hint tells
                     # clients to go away for a while, not to retry-spin.
                     retry_after=60.0,
@@ -202,7 +206,11 @@ class AdmissionController:
                 tenant.failed += 1
             else:
                 tenant.completed += 1
-            tenant.budget.settle(simulated_seconds)
+            if simulated_seconds > 0:
+                try:
+                    tenant.budget.charge_seconds(simulated_seconds)
+                except BudgetExhausted:
+                    pass  # latched: the next submit refuses; the job ran
             if latency_seconds > 0:
                 self._mean_latency = (
                     0.7 * self._mean_latency + 0.3 * latency_seconds

@@ -120,3 +120,71 @@ class TestExplain:
     def test_committed_probe_is_not_flagged(self):
         text = render_explain(explain(_trace_with_probe(), "w0:e2"))
         assert "DISCARDED" not in text
+
+
+class TestSequentialLedger:
+    """A sequential GBR run: every fresh probe's ledger entry names its
+    own ``predicate.call`` span and carries that call's resilience
+    deltas, which ``trace explain`` prints."""
+
+    def test_fresh_probes_carry_span_and_retry_deltas(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        from repro.fji.examples import MAIN_CODE, figure1_problem
+        from repro.observability import (
+            load_trace,
+            tracing_session,
+            write_trace,
+        )
+        from repro.reduction import (
+            ReductionProblem,
+            generalized_binary_reduction,
+        )
+        from repro.reduction.predicate import InstrumentedPredicate
+        from repro.resilience import FaultPlan, ResilientPredicate
+
+        problem = figure1_problem()
+        flaky = FaultPlan(kind="flaky", rate=0.3, seed=7).apply(
+            problem.predicate, "ledger"
+        )
+        traced = ReductionProblem(
+            variables=problem.variables,
+            predicate=InstrumentedPredicate(
+                ResilientPredicate(flaky, retries=10)
+            ),
+            constraint=problem.constraint,
+            description=problem.description,
+        )
+        path = str(tmp_path / "sequential.jsonl")
+        with tracing_session() as (tracer, metrics):
+            result = generalized_binary_reduction(
+                traced, require_true=frozenset({MAIN_CODE})
+            )
+            write_trace(path, tracer, metrics)
+        events = load_trace(path)
+        call_spans = {
+            e["span_id"]
+            for e in events
+            if e["type"] == "span" and e["name"] == "predicate.call"
+        }
+        fresh = [
+            e for e in events
+            if e["type"] == "probe" and e["cache"] == "fresh"
+        ]
+        assert result.predicate_calls > 0
+        assert len(fresh) == result.predicate_calls
+        for probe in fresh:
+            assert probe["span_id"] in call_spans
+            assert probe["attempts"] == probe["retries"] + 1
+            assert probe["timeouts"] == 0
+            assert "batch_pos" not in probe
+        # The seeded plan did inject faults, and retries absorbed them.
+        retried = next(p for p in fresh if p["retries"] > 0)
+        capsys.readouterr()
+        assert main(["trace", "explain", retried["event_id"], path]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"attempts={retried['attempts']} "
+            f"retries={retried['retries']}"
+        ) in out
+        assert "predicate.call" in out

@@ -8,7 +8,7 @@ byte-identically to the sequential run and to the thread backend.
 These tests pin the claim down across speculation widths, chaos fault
 injection, and warm/cold persistent stores, plus the contract pieces:
 task-spec pickling, worker-side chain rebuilding, and the guard rails
-(missing task_spec, limiting budgets still serializing).
+(a missing task_spec runs inline, limiting budgets still serialize).
 """
 
 import dataclasses
@@ -185,10 +185,16 @@ class TestBuildWorkerPredicate:
 
 
 class TestEvaluateBatchProcessBackend:
-    def test_requires_a_task_spec(self, pool):
-        wrapped = InstrumentedPredicate(_SizePredicate(1))
-        with pytest.raises(ValueError, match="task_spec"):
-            wrapped.evaluate_batch([frozenset({"a"})], executor=pool)
+    def test_without_a_task_spec_runs_inline(self, pool):
+        # A lambda cannot be pickled: these probes can only have run in
+        # the parent, committed like any other round.
+        wrapped = InstrumentedPredicate(
+            lambda kept: len(kept) >= 2, cost_per_call=33.0
+        )
+        batch = [frozenset({"a"}), frozenset({"a", "b"})]
+        assert wrapped.evaluate_batch(batch, executor=pool) == [False, True]
+        assert wrapped.calls == 2
+        assert wrapped.virtual_now() == 33.0  # one charge per round
 
     def test_commits_like_the_thread_backend(self, pool):
         spec = ProbeTaskSpec(kind="callable", predicate=_SizePredicate(2))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.resilience.admission import AdmissionBudget
 from repro.service.admission import AdmissionController, TenantPolicy
 from repro.service.jobs import Job, JobRequest
 
@@ -14,31 +13,51 @@ def job(tenant: str, serial: int = 0) -> Job:
     return Job(job_id=f"{tenant}-{serial}", request=request, serial=serial)
 
 
-class TestAdmissionBudget:
+class TestTenantQuota:
+    """The per-tenant quota: one latched Budget inside the controller."""
+
+    @staticmethod
+    def controller(**quota) -> AdmissionController:
+        return AdmissionController(default_policy=TenantPolicy(**quota))
+
+    @staticmethod
+    def admit(controller: AdmissionController, serial: int):
+        """Submit one job and pop it, so the queue bound never bites."""
+        verdict = controller.submit(job("acme", serial))
+        controller.next_job()
+        return verdict
+
     def test_unlimited_always_admits(self):
-        budget = AdmissionBudget()
-        assert budget.try_admit() is None
-        budget.settle(1e9)
-        assert budget.try_admit() is None
-        assert not budget.limited
+        controller = self.controller()
+        assert self.admit(controller, 0).admitted
+        controller.record_completion("acme", 0.1, simulated_seconds=1e9)
+        assert self.admit(controller, 1).admitted
+        assert not controller.stats()["acme"]["quota_exhausted"]
 
     def test_job_quota_latches(self):
-        budget = AdmissionBudget(max_jobs=2)
-        assert budget.try_admit() is None
-        assert budget.try_admit() is None
-        refusal = budget.try_admit()
-        assert refusal is not None
-        assert budget.exhausted
-        # Latched: settling afterwards never un-exhausts it.
-        budget.settle(0.0)
-        assert budget.try_admit() is not None
+        controller = self.controller(max_jobs=2)
+        assert self.admit(controller, 0).admitted
+        assert self.admit(controller, 1).admitted
+        verdict = self.admit(controller, 2)
+        assert not verdict.admitted
+        assert verdict.reason == "quota"
+        assert controller.stats()["acme"]["quota_exhausted"]
+        # Latched: a completion afterwards never un-exhausts it.
+        controller.record_completion("acme", 0.1, simulated_seconds=0.0)
+        assert not self.admit(controller, 3).admitted
+        assert controller.stats()["acme"]["quota_jobs"] == 2
 
     def test_seconds_quota_charged_at_settle(self):
-        budget = AdmissionBudget(max_seconds=100.0)
-        assert budget.try_admit() is None
-        budget.settle(250.0)  # over-spend latches without raising
-        assert budget.try_admit() is not None
-        assert budget.seconds == pytest.approx(250.0)
+        controller = self.controller(max_seconds=100.0)
+        assert self.admit(controller, 0).admitted
+        # Over-spending latches at completion without raising.
+        controller.record_completion("acme", 0.1, simulated_seconds=250.0)
+        verdict = self.admit(controller, 1)
+        assert not verdict.admitted
+        assert verdict.reason == "quota"
+        stats = controller.stats()["acme"]
+        assert stats["quota_seconds"] == pytest.approx(250.0)
+        assert stats["quota_exhausted"]
 
 
 class TestQueueBound:

@@ -300,6 +300,32 @@ class TestProbeBackendCli:
                 actual.pop(key)
             assert expected == actual
 
+    def test_bench_debloat_process_backend_matches_thread(
+        self, tiny_corpus, capsys
+    ):
+        """Scenario oracles have no process task spec: their speculative
+        rounds run inline in the parent, with the thread run's outcomes."""
+        from repro.harness.experiments import (
+            InstanceOutcome,
+            outcome_signature,
+        )
+
+        def signatures(backend):
+            outcomes = self._outcomes(
+                capsys, "--debloat", "--speculate", "2",
+                "--probe-backend", backend,
+            )
+            return [
+                outcome_signature(InstanceOutcome(**outcome))
+                for outcome in outcomes
+            ]
+
+        thread = signatures("thread")
+        process = signatures("process")
+        assert any(sig["scenario"] == "debloat" for sig in process)
+        assert all(sig["status"] == "complete" for sig in process)
+        assert process == thread
+
     def test_reduce_process_backend_matches_default(self, fji_file, capsys):
         assert main(
             ["reduce", fji_file, "--keep", "[A.m()!code]", "--json"]
